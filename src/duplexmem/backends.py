@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 import urllib.error
 import urllib.request
@@ -166,6 +167,15 @@ def _need(payload: Mapping[str, Any], key: str, types: type | tuple[type, ...]) 
     return value
 
 
+def _is_vector(values: Any, dim: int) -> bool:
+    """A flat list of dim finite numbers. NaN and infinities carry through the
+    sum; a string, null or nested list in it makes the sum raise TypeError."""
+    try:
+        return isinstance(values, list) and len(values) == dim and math.isfinite(sum(values))
+    except (TypeError, OverflowError):  # OverflowError: an int beyond the float range
+        return False
+
+
 def _check_av_request(body: Mapping[str, Any]) -> None:
     marker = body.get("marker")
     if marker is not None and not isinstance(marker, int):
@@ -173,17 +183,13 @@ def _check_av_request(body: Mapping[str, Any]) -> None:
     _need(body, "sample_index", int)
 
 
-def _check_av_response(body: Mapping[str, Any]) -> None:
-    detected = _need(body, "detected", bool)
-    embedding = body.get("embedding")
-    if detected:
-        if not isinstance(embedding, list) or not embedding:
+def _check_av_response(body: Mapping[str, Any], dim: int) -> None:
+    if _need(body, "detected", bool):
+        if not _is_vector(body.get("embedding"), dim):
             raise BackendSchemaError(
-                "detected response must carry a non-empty embedding", payload=dict(body)
+                f"embedding must be a list of {dim} finite numbers", payload=dict(body)
             )
-        if not all(isinstance(x, (int, float)) for x in embedding):
-            raise BackendSchemaError("embedding must be numeric", payload=dict(body))
-    elif embedding is not None:
+    elif body.get("embedding") is not None:
         raise BackendSchemaError(
             "undetected response must not carry an embedding", payload=dict(body)
         )
@@ -197,11 +203,11 @@ def _check_text_request(body: Mapping[str, Any]) -> None:
 
 def _check_text_response(body: Mapping[str, Any]) -> None:
     embeddings = _need(body, "embeddings", list)
-    for emb in embeddings:
-        if not isinstance(emb, list) or len(emb) != TEXT_EMBED_DIM:
-            raise BackendSchemaError(
-                f"each embedding must be a {TEXT_EMBED_DIM}-float list", payload=dict(body)
-            )
+    if not embeddings or not all(_is_vector(e, TEXT_EMBED_DIM) for e in embeddings):
+        raise BackendSchemaError(
+            f"embeddings must be a non-empty list of lists of {TEXT_EMBED_DIM} finite numbers",
+            payload=dict(body),
+        )
 
 
 def _check_asr_request(body: Mapping[str, Any]) -> None:
@@ -270,8 +276,8 @@ _REQUEST_VALIDATORS: dict[str, _Validator] = {
 }
 
 _RESPONSE_VALIDATORS: dict[str, _Validator] = {
-    "face_encoder": _check_av_response,
-    "voice_encoder": _check_av_response,
+    "face_encoder": lambda body: _check_av_response(body, FACE_DIM),
+    "voice_encoder": lambda body: _check_av_response(body, VOICE_DIM),
     "text_encoder": _check_text_response,
     "asr": _check_asr_response,
     "extractor": _check_extractor_response,
@@ -454,7 +460,7 @@ class MockAvEncoderService:
         if seed is None:
             return {"detected": False, "embedding": None}
         vector = seed.observe(self.modality, int(body["sample_index"]))
-        return {"detected": True, "embedding": [float(x) for x in vector]}
+        return {"detected": True, "embedding": vector.tolist()}
 
 
 class MockTextEncoderService:
@@ -468,10 +474,7 @@ class MockTextEncoderService:
     kind = "text_encoder"
 
     def handle(self, body: Mapping[str, Any]) -> dict[str, Any]:
-        embeddings = []
-        for text in body["texts"]:
-            embeddings.append([float(x) for x in self.embed_vector(text)])
-        return {"embeddings": embeddings}
+        return {"embeddings": [self.embed_vector(text).tolist() for text in body["texts"]]}
 
     @staticmethod
     def embed_vector(text: str) -> np.ndarray:

@@ -19,7 +19,7 @@ import os
 import sys
 from typing import Any, Callable, Mapping, Sequence
 
-from .backends import BACKEND_KINDS, RetryPolicy, http_suite
+from .backends import BACKEND_KINDS, http_suite
 from .harness import (
     MetricsTable,
     Scenario,

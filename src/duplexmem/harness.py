@@ -13,9 +13,10 @@ byte-stable for a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .stream import (
     StreamBuildConfig,
     StreamBuildResult,
     TurnScript,
+    _draw,
     build_stream,
     dialog_from_record,
     dialog_to_record,
@@ -133,15 +135,18 @@ RESPONSE_TEMPLATES = (
 )
 
 
-def distinct_words(count: int) -> list[str]:
-    """Deterministic distinct single-token words, extending the bank with
-    numeric suffixes once it runs out."""
-    words = []
-    for i in range(count):
+def _word_sequence() -> Iterator[str]:
+    """Deterministic distinct single-token words without end, extending the
+    bank with numeric suffixes once it runs out."""
+    for i in itertools.count():
         base = ACTIVITY_WORDS[i % len(ACTIVITY_WORDS)]
         round_ = i // len(ACTIVITY_WORDS)
-        words.append(base if round_ == 0 else f"{base}{round_}")
-    return words
+        yield base if round_ == 0 else f"{base}{round_}"
+
+
+def distinct_words(count: int) -> list[str]:
+    """The first count words of the deterministic word sequence."""
+    return list(itertools.islice(_word_sequence(), count))
 
 
 # --------------------------------------------------------------------------
@@ -196,21 +201,6 @@ class MetricsTable:
                 for c in self.checks
             ],
         }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "MetricsTable":
-        return cls(
-            title=payload["title"],
-            checks=tuple(
-                MetricCheck(
-                    name=c["name"],
-                    value=float(c["value"]),
-                    passed=bool(c["passed"]),
-                    detail=c.get("detail", ""),
-                )
-                for c in payload["checks"]
-            ),
-        )
 
 
 # --------------------------------------------------------------------------
@@ -383,11 +373,6 @@ class ScenarioSpec:
         return self.name or f"scenario_{self.seed:04d}"
 
 
-def _draw(rng: np.random.Generator, bounds: tuple[int, int]) -> int:
-    low, high = bounds
-    return low if low == high else int(rng.integers(low, high + 1))
-
-
 def synth_scenario(spec: ScenarioSpec) -> Scenario:
     """Deterministically generate a host, neighbors, memories, and dialogs."""
     rng = np.random.default_rng(stable_seed("scenario", spec.seed))
@@ -420,7 +405,7 @@ def synth_scenario(spec: ScenarioSpec) -> Scenario:
         for i in range(n_neighbors)
     )
 
-    words = iter(distinct_words(n_neighbors * spec.facts_per_neighbor[1] + 64))
+    words = _word_sequence()
     preseed = [PreseedProfile(identity_id=host.identity_id)]
     for i, neighbor in enumerate(neighbors):
         n_facts = _draw(rng, spec.facts_per_neighbor)
@@ -673,8 +658,9 @@ def scenario_suite(
     )
 
 
-def cohort_identity_seeds(scenario: Scenario) -> list[IdentitySeed]:
-    return [
+def cohort_sets(scenario: Scenario, modality: str = "voice") -> tuple[CohortSet, CohortSet]:
+    """Query-side and key-side imposter cohorts from the scenario's bank."""
+    seeds = [
         IdentitySeed(
             identity_id=f"cohort_{i:04d}",
             vector_seed=stable_seed(scenario.cohort_seed, "cohort", i),
@@ -682,11 +668,6 @@ def cohort_identity_seeds(scenario: Scenario) -> list[IdentitySeed]:
         )
         for i in range(scenario.cohort_size)
     ]
-
-
-def cohort_sets(scenario: Scenario, modality: str = "voice") -> tuple[CohortSet, CohortSet]:
-    """Query-side and key-side imposter cohorts from the scenario's bank."""
-    seeds = cohort_identity_seeds(scenario)
     query = CohortSet(tuple(Embedding(s.observe(modality, 0), modality) for s in seeds))
     key = CohortSet(tuple(s.key_embedding(modality) for s in seeds))
     return query, key

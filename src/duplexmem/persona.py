@@ -1,9 +1,7 @@
 """The fixed persona slot schema.
 
-A profile's persona is a sparse mapping over exactly these named slots.
-Deployments can swap the schema by loading slot names from a text file (one
-slot per line, '#' comments allowed); the default below ships with the
-package and is what the store validates against unless told otherwise.
+A profile's persona is a sparse mapping over exactly these named slots. The
+store validates against this default unless it is given another slot list.
 """
 
 from __future__ import annotations
@@ -114,17 +112,3 @@ DEFAULT_PERSONA_SLOTS: tuple[str, ...] = (
 assert len(DEFAULT_PERSONA_SLOTS) == 90
 assert len(set(DEFAULT_PERSONA_SLOTS)) == 90
 
-
-def load_persona_slots(path: str) -> tuple[str, ...]:
-    """Read a slot schema from a text file, one slot name per line."""
-    slots: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            name = line.split("#", 1)[0].strip()
-            if name:
-                slots.append(name)
-    if len(slots) != len(set(slots)):
-        raise ValueError(f"duplicate persona slots in {path}")
-    if not slots:
-        raise ValueError(f"no persona slots in {path}")
-    return tuple(slots)

@@ -20,13 +20,14 @@ from typing import Sequence
 
 from .backends import BackendSuite
 from .sessions import (
+    DEFAULT_GAP_STEPS,
     ActivityTagger,
     ExtractionResult,
     RepairNote,
     SessionSpan,
-    TagSequence,
     TaggerBackend,
     extract_sessions,
+    tag_stream,
 )
 from .store import (
     ExtractedMemory,
@@ -64,12 +65,9 @@ class CycleConfig:
     face_delta: float = DEFAULT_FACE_DELTA
     speaker_theta: float = DEFAULT_SPEAKER_THETA
     timestamp: str = ""
-    gap_steps: int | None = None  # None keeps the tagger default
+    gap_steps: int = DEFAULT_GAP_STEPS
     voice_query_cohort: CohortSet | None = None
     voice_key_cohort: CohortSet | None = None
-
-    def voice_fallback_ready(self) -> bool:
-        return self.voice_query_cohort is not None and self.voice_key_cohort is not None
 
 
 @dataclass(frozen=True)
@@ -79,16 +77,11 @@ class SessionClip:
     start_step: int
     end_step: int  # inclusive
     marker: int | None
-    monologue_text: str
 
     @property
     def sample_index(self) -> int:
         # ties the mock encoders' observation noise to the span position
         return self.start_step
-
-    @property
-    def length(self) -> int:
-        return self.end_step - self.start_step + 1
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,6 @@ def clip_session(segment: StreamSegment, span: SessionSpan) -> SessionClip:
         start_step=sub.start_step,
         end_step=sub.start_step + len(sub) - 1,
         marker=sub.dominant_marker(),
-        monologue_text=sub.monologue_text(),
     )
 
 
@@ -240,13 +232,10 @@ def _verify_identity(
     """
     if face is not None:
         return face_verify(face, store.user_keys("face"), config.face_delta)
-    if voice is not None and config.voice_fallback_ready():
+    query_cohort, key_cohort = config.voice_query_cohort, config.voice_key_cohort
+    if voice is not None and query_cohort is not None and key_cohort is not None:
         return speaker_verify(
-            voice,
-            store.user_keys("voice"),
-            config.voice_query_cohort,
-            config.voice_key_cohort,
-            config.speaker_theta,
+            voice, store.user_keys("voice"), query_cohort, key_cohort, config.speaker_theta
         )
     return None
 
@@ -331,13 +320,8 @@ def run_management_cycle(
 ) -> CycleReport:
     """Tag a chunk, extract its sessions, and process each one in isolation."""
     if tagger is None:
-        tagger = (
-            ActivityTagger(gap_steps=config.gap_steps)
-            if config.gap_steps is not None
-            else ActivityTagger()
-        )
-    labels = tagger(chunk.tokens)
-    extraction: ExtractionResult = extract_sessions(TagSequence(labels))
+        tagger = ActivityTagger(gap_steps=config.gap_steps)
+    extraction: ExtractionResult = extract_sessions(tag_stream(chunk, tagger))
 
     records: list[SessionRecord] = []
     for span in extraction.spans:

@@ -4,8 +4,8 @@ Three logical processes share one single-threaded loop driven by the stream
 step counter (the virtual clock): the interaction process consumes stream
 steps and watches the monologue channel, the retrieval process answers query
 markers, and the management process periodically rolls completed chunks into
-long-term memory. Explicit queues connect them, so the scheduling is visible
-and the whole run is reproducible; nothing reads the wall clock.
+long-term memory. Each step calls them in that fixed order, so the whole run
+is reproducible; nothing reads the wall clock.
 
 Identity tracking polls the recent stream window on a fixed cadence. A face
 match drives the profile context window: a switch to a different user (or to
@@ -18,7 +18,6 @@ counters.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
@@ -404,15 +403,22 @@ def run_agent(
 
     The step index is the only clock. Per step: the interaction process
     ingests the monologue byte and runs the polling cadence, the retrieval
-    process drains completed query markers, and the management process rolls
-    each completed fixed-size chunk (and the final partial chunk) into
-    long-term memory.
+    process answers a query marker completed at this step, and the management
+    process rolls each completed fixed-size chunk (and the final partial
+    chunk) into long-term memory. A cycle_config must use the same face and
+    speaker thresholds as config, so ticks and cycles decide identity alike.
     """
+    thresholds = (config.face_delta, config.speaker_theta)
     if cycle_config is None:
         cycle_config = CycleConfig(
             face_delta=config.face_delta,
             speaker_theta=config.speaker_theta,
             timestamp=timestamp,
+        )
+    elif (cycle_config.face_delta, cycle_config.speaker_theta) != thresholds:
+        raise ValueError(
+            "cycle_config thresholds (face_delta, speaker_theta) "
+            f"{(cycle_config.face_delta, cycle_config.speaker_theta)} differ from {thresholds}"
         )
 
     profile_window = ContextWindowState("profile", config.profile_capacity)
@@ -423,16 +429,14 @@ def run_agent(
     state = _TrackerState()
 
     monologue = bytearray()
-    query_queue: deque[int] = deque()
-    management_queue: deque[tuple[int, int]] = deque()
     cycle_start = 0
 
     for step in range(len(stream)):
         text_token = int(stream.tokens[step, 0])
+        query_closed = False
         if text_token > 0:
             monologue.append(text_token - 1)
-            if monologue.endswith(_QUERY_CLOSE_BYTES):
-                query_queue.append(step)
+            query_closed = monologue.endswith(_QUERY_CLOSE_BYTES)
 
         if (step + 1) % config.polling_interval_steps == 0:
             observation = polling_tick(
@@ -448,43 +452,29 @@ def run_agent(
                 observation, state, store, profile_window, counters, config, step, events
             )
 
-        while query_queue:
-            query_step = query_queue.popleft()
-            text = monologue.decode("utf-8", errors="replace")
+        if query_closed:
             event = handle_retrieval_request(
-                text,
+                monologue.decode("utf-8", errors="replace"),
                 state.tracked,
                 store,
                 backends,
                 retrieval_window,
                 config.retrieval_top_k,
-                query_step,
+                step,
             )
             counters.queries_handled += 1
             if event.get("changed"):
                 counters.retrieval_refreshes += 1
             events.append(event)
 
-        if (step + 1) % config.management_interval_steps == 0:
-            management_queue.append((cycle_start, step + 1))
-            cycle_start = step + 1
-
-        while management_queue:
-            chunk_span = management_queue.popleft()
+        if (step + 1) % config.management_interval_steps == 0 or step + 1 == len(stream):
             report = run_management_cycle(
-                stream.segment(*chunk_span), store, backends, cycle_config
+                stream.segment(cycle_start, step + 1), store, backends, cycle_config
             )
             cycle_reports.append(report)
             counters.management_cycles += 1
-            events.append(_cycle_event(report, chunk_span[1] - 1))
-
-    if cycle_start < len(stream):
-        report = run_management_cycle(
-            stream.segment(cycle_start, len(stream)), store, backends, cycle_config
-        )
-        cycle_reports.append(report)
-        counters.management_cycles += 1
-        events.append(_cycle_event(report, len(stream) - 1))
+            events.append(_cycle_event(report, step))
+            cycle_start = step + 1
 
     assert counters.refresh_signals == counters.switch_count + counters.loss_clear_count
     return AgentRunResult(

@@ -16,7 +16,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .stream import AUDIO_EMPTY, SPEAKER_MARKER_BASE, TokenStream
+from .stream import AUDIO_EMPTY, SPEAKER_MARKER_BASE, StreamSegment, TokenStream
 
 TAG_NONE = 0
 TAG_START = 1
@@ -144,7 +144,6 @@ class ActivityTagger:
     def __call__(self, tokens: np.ndarray) -> np.ndarray:
         if tokens.ndim != 2 or tokens.shape[1] != 17:
             raise SessionError("tagger expects a (steps, 17) token grid")
-        length = tokens.shape[0]
         active = (tokens[:, 1:] != AUDIO_EMPTY).any(axis=1)
         semantic = tokens[:, 1]
         markers = np.where(semantic >= SPEAKER_MARKER_BASE, semantic, 0)
@@ -176,14 +175,7 @@ class ActivityTagger:
                     owner = int(value)
                 last_active = seg_end
         close()
-
-        labels = np.zeros(length, dtype=np.uint8)
-        for span in spans:
-            labels[span.start_step] = TAG_START
-            if span.end_step > span.start_step:
-                labels[span.start_step + 1:span.end_step] = TAG_IN
-                labels[span.end_step] = TAG_END
-        return labels
+        return spans_to_labels(spans, tokens.shape[0]).labels
 
 
 def _activity_runs(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,8 +197,10 @@ def _marker_segments(markers: np.ndarray, start: int, end: int):
         yield int(s), int(e), int(markers[s])
 
 
-def tag_stream(stream: TokenStream, backend: TaggerBackend | None = None) -> TagSequence:
-    """Run a tagging backend over a stream and validate its output."""
+def tag_stream(
+    stream: TokenStream | StreamSegment, backend: TaggerBackend | None = None
+) -> TagSequence:
+    """Run a tagging backend over a stream or segment and validate its output."""
     tagger = backend if backend is not None else ActivityTagger()
     try:
         labels = tagger(stream.tokens)

@@ -50,10 +50,6 @@ class StaleResolutionError(StoreError):
     """The resolution was computed against an outdated profile version."""
 
 
-class DuplicateEdgeEndpointError(StoreError):
-    pass
-
-
 class PersonaSchemaError(StoreError):
     pass
 

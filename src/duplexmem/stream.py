@@ -15,10 +15,9 @@ tagger and the verification mocks key on.
 from __future__ import annotations
 
 import io
-import json
 import struct
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Literal, Mapping, Sequence
+from typing import Any, Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -80,34 +79,6 @@ def decode_text(ids: Iterable[int]) -> str:
     return data.decode("utf-8", errors="replace")
 
 
-def step_to_seconds(step: int) -> float:
-    if step < 0:
-        raise StreamError("step indexes are non-negative")
-    return step / FRAME_RATE
-
-
-def seconds_to_steps(seconds: float) -> int:
-    if seconds < 0:
-        raise StreamError("durations are non-negative")
-    return int(round(seconds * FRAME_RATE))
-
-
-@dataclass(frozen=True)
-class TokenStep:
-    """One step of the stream, unpacked for single-step access."""
-
-    step_index: int
-    text_token: int
-    listen_tokens: tuple[int, ...]
-    speak_tokens: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.listen_tokens) != 8 or len(self.speak_tokens) != 8:
-            raise StreamError("a step carries 8 listen and 8 speak tokens")
-        if self.text_token < 0 or min(self.listen_tokens) < 0 or min(self.speak_tokens) < 0:
-            raise StreamError("token ids are non-negative")
-
-
 @dataclass(frozen=True)
 class StreamSegment:
     """A contiguous view of stream steps with its absolute start offset."""
@@ -128,9 +99,6 @@ class StreamSegment:
     def end_step(self) -> int:
         return self.start_step + len(self)
 
-    def monologue_text(self) -> str:
-        return decode_text(self.tokens[:, 0])
-
     def user_markers(self) -> np.ndarray:
         """Per-step speaker marker (0 where no user utterance is present)."""
         semantic = self.tokens[:, 1]
@@ -144,9 +112,6 @@ class StreamSegment:
         values, counts = np.unique(markers, return_counts=True)
         # most frequent marker; ties break toward the smaller id
         return int(values[np.argmax(counts)])
-
-    def has_any_audio(self) -> bool:
-        return bool((self.tokens[:, 1:] != AUDIO_EMPTY).any())
 
 
 @dataclass(frozen=True)
@@ -198,19 +163,10 @@ class TokenStream:
     def dialog_start(self) -> int:
         return self.retrieval_region[1]
 
-    def step(self, index: int) -> TokenStep:
-        if not 0 <= index < len(self):
-            raise StreamError(f"step {index} out of range [0, {len(self)})")
-        row = self.tokens[index]
-        return TokenStep(index, int(row[0]), tuple(map(int, row[1:9])), tuple(map(int, row[9:17])))
-
     def segment(self, start: int, stop: int) -> StreamSegment:
         if not 0 <= start <= stop <= len(self):
             raise StreamError(f"segment [{start}, {stop}) out of range [0, {len(self)}]")
         return StreamSegment(self.tokens[start:stop], start)
-
-    def text_channel(self) -> np.ndarray:
-        return self.tokens[:, 0]
 
 
 @dataclass(frozen=True)
@@ -268,9 +224,6 @@ class DialogScript:
         return self.session_span is not None and all(t.placed for t in self.turns)
 
 
-AudioIdFn = Callable[[int, int, int], int]
-
-
 @dataclass(frozen=True)
 class StreamBuildConfig:
     interruption_probability: float = 0.3
@@ -280,7 +233,6 @@ class StreamBuildConfig:
     dialog_gap: tuple[int, int] = (26, 60)
     max_steps: int = MAX_STREAM_STEPS
     speaker_markers: Mapping[str, int] | None = None
-    audio_id_fn: AudioIdFn | None = None  # (marker, step, slot) -> token id
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.interruption_probability <= 1.0:
@@ -402,15 +354,7 @@ def build_stream(
         for turn in dialog.turns:
             i0, i1 = turn.instruction_span  # type: ignore[misc]
             r0, r1 = turn.response_span  # type: ignore[misc]
-            if config.audio_id_fn is None:
-                tokens[i0:i1, LISTEN_SLOTS] = marker
-            else:
-                for step in range(i0, i1):
-                    for slot in range(8):
-                        value = config.audio_id_fn(marker, step, slot)
-                        if value < SPEAKER_MARKER_BASE and slot == 0:
-                            raise StreamBuildError("slot 0 must carry the speaker marker id")
-                        tokens[step, 1 + slot] = value
+            tokens[i0:i1, LISTEN_SLOTS] = marker
             tokens[r0:r1, SPEAK_SLOTS] = ASSISTANT_VOICE
 
             text_start = r0 - MONOLOGUE_LEAD_STEPS
@@ -667,12 +611,3 @@ def dialog_from_record(record: Mapping[str, Any]) -> DialogScript:
         session_span=tuple(record["session_span"]) if record.get("session_span") else None,
     )
 
-
-def scripts_to_jsonl(scripts: Sequence[DialogScript]) -> str:
-    """Human-readable structured text, one dialog record per line."""
-    lines = [json.dumps(dialog_to_record(dialog), sort_keys=True) for dialog in scripts]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def scripts_from_jsonl(text: str) -> list[DialogScript]:
-    return [dialog_from_record(json.loads(line)) for line in text.splitlines() if line.strip()]

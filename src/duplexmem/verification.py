@@ -11,7 +11,6 @@ here too, since the evaluation harness and the runtime share them.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Sequence
@@ -24,16 +23,9 @@ MODALITY_DIMS = {"face": FACE_DIM, "voice": VOICE_DIM}
 
 DEFAULT_FACE_DELTA = 0.3
 DEFAULT_SPEAKER_THETA = 6.0
-# EER-tuned operating point kept available for configs that prefer it.
-ALTERNATE_SPEAKER_THETA = 4.63
 DEFAULT_COHORT_TOP_N = 200
 
 Modality = Literal["face", "voice", "text"]
-
-_MODALITY_CODES = {"face": 0, "voice": 1, "text": 2}
-_CODE_MODALITIES = {v: k for k, v in _MODALITY_CODES.items()}
-
-_EMBED_HEADER = struct.Struct("<III")  # count, dim, modality code
 
 
 class VerificationError(Exception):
@@ -50,10 +42,6 @@ class ModalityMismatchError(VerificationError):
 
 class DegenerateCohortError(VerificationError):
     """Cohort score standard deviation is zero; normalization undefined."""
-
-
-class EmbeddingFileError(VerificationError):
-    """Embedding file is truncated or carries an invalid header."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,37 +301,3 @@ def pass_at_k(true_key_ranks: Sequence[int], k: int) -> float:
         raise VerificationError("ranks are 1-indexed and must be positive")
     return sum(1 for r in ranks if r <= k) / len(ranks)
 
-
-def save_embedding_file(path: str, embeddings: Sequence[Embedding]) -> None:
-    """Write embeddings as a header plus raw little-endian float32 rows."""
-    if not embeddings:
-        raise EmbeddingFileError("refusing to write an empty embedding file")
-    mods = {e.modality for e in embeddings}
-    dims = {e.dim for e in embeddings}
-    if len(mods) > 1 or len(dims) > 1:
-        raise ModalityMismatchError("embedding files hold a single modality and dimension")
-    modality = embeddings[0].modality
-    dim = embeddings[0].dim
-    with open(path, "wb") as fh:
-        fh.write(_EMBED_HEADER.pack(len(embeddings), dim, _MODALITY_CODES[modality]))
-        block = np.stack([e.values for e in embeddings]).astype("<f4")
-        fh.write(block.tobytes())
-
-
-def load_embedding_file(path: str) -> list[Embedding]:
-    with open(path, "rb") as fh:
-        header = fh.read(_EMBED_HEADER.size)
-        if len(header) != _EMBED_HEADER.size:
-            raise EmbeddingFileError("embedding file header is truncated")
-        count, dim, code = _EMBED_HEADER.unpack(header)
-        if code not in _CODE_MODALITIES:
-            raise EmbeddingFileError(f"unknown modality code {code}")
-        if count == 0 or dim == 0:
-            raise EmbeddingFileError("embedding file header declares an empty block")
-        body = fh.read()
-    expected = count * dim * 4
-    if len(body) != expected:
-        raise EmbeddingFileError(f"embedding block holds {len(body)} bytes, expected {expected}")
-    block = np.frombuffer(body, dtype="<f4").reshape(count, dim)
-    modality = _CODE_MODALITIES[code]
-    return [Embedding(block[i].copy(), modality) for i in range(count)]

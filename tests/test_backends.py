@@ -373,6 +373,24 @@ class TestSchemaValidation:
             validate_response("face_encoder", {"detected": False, "embedding": [1.0]})
         with pytest.raises(BackendSchemaError):
             validate_response("face_encoder", {"detected": True, "embedding": [1.0, "x"]})
+        malformed = (
+            [0.5] * 511,
+            [float("nan")] * 512,
+            [0.5] * 511 + [float("inf")],
+            ["0.5"] * 512,
+            [[0.5]] * 512,
+            [[0.5], 0.5],
+            0.5,
+        )
+        for embedding in malformed:
+            with pytest.raises(BackendSchemaError):
+                validate_response("face_encoder", {"detected": True, "embedding": embedding})
+        with pytest.raises(BackendSchemaError):
+            validate_response("voice_encoder", {"detected": True, "embedding": [0.5] * 512})
+        with pytest.raises(BackendSchemaError):
+            validate_response("voice_encoder", {"detected": True, "embedding": [0.5] * 255})
+        validate_response("face_encoder", {"detected": True, "embedding": [0.5] * 512})
+        validate_response("voice_encoder", {"detected": True, "embedding": [0.5] * 256})
         validate_response("face_encoder", {"detected": False, "embedding": None})
 
     def test_text_schemas(self):
@@ -382,7 +400,12 @@ class TestSchemaValidation:
             validate_request("text_encoder", {"texts": [42]})
         with pytest.raises(BackendSchemaError):
             validate_response("text_encoder", {"embeddings": [[0.0] * 3]})
-        validate_response("text_encoder", {"embeddings": [[0.0] * TEXT_EMBED_DIM]})
+        good = [0.0] * TEXT_EMBED_DIM
+        for embeddings in ([], [good, good[1:]], [good[:-1] + [float("nan")]], [good, "x"]):
+            with pytest.raises(BackendSchemaError):
+                validate_response("text_encoder", {"embeddings": embeddings})
+        validate_response("text_encoder", {"embeddings": [good]})
+        validate_response("text_encoder", {"embeddings": [good, good]})
 
     def test_asr_schemas(self):
         with pytest.raises(BackendSchemaError):

@@ -61,11 +61,6 @@ class TestMetricsTable:
         assert lines[2].startswith("FAIL  beta")
         assert lines[-1] == "FAILED: 1/2 checks passed"
 
-    def test_payload_round_trip(self):
-        table = self.table()
-        clone = MetricsTable.from_payload(json.loads(json.dumps(table.to_payload())))
-        assert clone == table
-
 
 class TestScenarioData:
     def test_marker_floor(self):
@@ -118,6 +113,18 @@ class TestScenarioRoundTrip:
         assert len(scenario.days) == 3
         assert scenario.days[0].timestamp == "2024-05-15"
         assert scenario.days[2].timestamp == "2024-05-17"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_thirty_day_scenarios_draw_distinct_facts(self, seed):
+        scenario = synth_scenario(ScenarioSpec(seed=seed, n_days=30))
+        assert len(scenario.days) == 30
+        facts = [
+            fact
+            for day in scenario.days
+            for script in day.scripts
+            for fact in script.annotation["user_facts"]
+        ]
+        assert len(set(facts)) == len(facts)
 
 
 class TestScenarioWiring:

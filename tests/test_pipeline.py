@@ -102,9 +102,7 @@ class TestClipSession:
         assert clip.start_step == start
         assert clip.end_step == end - 1
         assert clip.marker == 2
-        assert "sounds like fun" in clip.monologue_text
         assert clip.sample_index == start
-        assert clip.length == end - start
 
     def test_offset_segments(self):
         built, _ = build_fixture([emily_dialog()])

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from duplexmem.backends import (
+    BackendSchemaError,
     BackendTransportError,
     FlakyTransport,
     IdentitySeed,
     UtteranceRow,
     mock_suite,
 )
+from duplexmem.pipeline import CycleConfig
 from duplexmem.retrieval import QueryGroups
 from duplexmem.runtime import (
     UNKNOWN_IDENTITY,
@@ -453,6 +455,72 @@ class TestRunAgent:
         counters = result.counters
         assert counters.ticks > 0
         assert counters.refresh_signals == counters.switch_count + counters.loss_clear_count
+
+    def test_malformed_encoder_replies_are_contained(self):
+        dialogs = [
+            DialogScript(f"d{i}", emily_dialog(turns=3).turns) for i in range(2)
+        ]
+        built, stream, rows = build_fixture(dialogs)
+        sessions = [d.session_span[0] for d in built.scripts]
+        spoken = [
+            step for step in range(24, len(stream), 25)
+            if stream.segment(step - 24, step + 1).dominant_marker() is not None
+        ]
+        bad_face, nan_face, bad_voice = spoken[1], spoken[3], spoken[5]
+        bad = {
+            ("face_encoder", bad_face): [0.5] * 511,
+            ("face_encoder", nan_face): [float("nan")] * 512,
+            ("voice_encoder", bad_voice): [0.5] * 255,
+            ("face_encoder", sessions[0]): [float("nan")] * 512,
+            ("voice_encoder", sessions[1]): [0.5] * 255,
+        }
+        suite = mock_suite(
+            ROSTER, utterances=rows, wrap_transport=lambda t: CorruptingTransport(t, bad)
+        )
+        cycle_config = CycleConfig(
+            timestamp="t", voice_query_cohort=make_cohort(700), voice_key_cohort=make_cohort(800)
+        )
+        result = run_agent(stream, emily_store(), suite, AgentConfig(), cycle_config=cycle_config)
+
+        ticks = {e["step"]: e for e in result.events if e["event"] == "tick"}
+        for step in (bad_face, nan_face):
+            assert ticks[step]["outcome"] == "no_signal"
+            assert ticks[step]["backend_error"].startswith("face_encoder:")
+        assert ticks[bad_voice]["outcome"] == "same_user"  # the face decision stands
+        assert ticks[bad_voice]["backend_error"].startswith("voice_encoder:")
+        errored = [step for step, tick in ticks.items() if tick["backend_error"]]
+        assert errored == [bad_face, nan_face, bad_voice]
+        assert result.counters.backend_error_count == 3
+        (report,) = result.cycle_reports
+        assert [r.start_step for r in report.records] == sessions
+        assert [(r.action, r.error_type) for r in report.records] == [
+            ("failed", "BackendSchemaError"),
+            ("failed", "BackendSchemaError"),
+        ]
+
+    @pytest.mark.parametrize("field", ["face_delta", "speaker_theta"])
+    def test_cycle_thresholds_must_match_the_agent(self, field):
+        built, stream, rows = build_fixture([emily_dialog()])
+        suite = mock_suite(ROSTER, utterances=rows)
+        cycle_config = CycleConfig(**{field: getattr(AgentConfig(), field) + 0.1})
+        with pytest.raises(ValueError, match="thresholds"):
+            run_agent(stream, emily_store(), suite, AgentConfig(), cycle_config=cycle_config)
+        run_agent(stream, emily_store(), suite, AgentConfig(), cycle_config=CycleConfig())
+
+
+class CorruptingTransport:
+    """Replaces the embedding of chosen (kind, sample_index) encoder replies."""
+
+    def __init__(self, inner, bad):
+        self.inner = inner
+        self.bad = bad
+
+    def send(self, kind, envelope):
+        response = self.inner.send(kind, envelope)
+        embedding = self.bad.get((kind, envelope["body"].get("sample_index")))
+        if embedding is None:
+            return response
+        return {**response, "body": {"detected": True, "embedding": embedding}}
 
 
 class TestTickCadence:

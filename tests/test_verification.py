@@ -19,9 +19,7 @@ from duplexmem.verification import (
     cosine_distance,
     cosine_similarity,
     face_verify,
-    load_embedding_file,
     pass_at_k,
-    save_embedding_file,
     speaker_verify,
 )
 
@@ -94,13 +92,6 @@ class TestEmbedding:
     def test_distance_range_property(self, s1, s2):
         d = cosine_distance(face_vec(s1), face_vec(s2))
         assert 0.0 <= d <= 2.0
-
-    def test_file_round_trip(self, tmp_path):
-        embeddings = [voice_vec(i) for i in range(5)]
-        path = str(tmp_path / "keys.bin")
-        save_embedding_file(path, embeddings)
-        loaded = load_embedding_file(path)
-        assert loaded == embeddings
 
 
 # --------------------------------------------------------------------------
