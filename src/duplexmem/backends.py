@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .retrieval import tokenize
-from .verification import FACE_DIM, VOICE_DIM, Embedding
+from .verification import FACE_DIM, VOICE_DIM, Embedding, EmbeddingShapeError
 
 BACKEND_KINDS = (
     "face_encoder",
@@ -512,9 +512,6 @@ class MockAsrService:
     def __init__(self, utterances: Sequence[UtteranceRow] = ()):
         self._rows = list(utterances)
 
-    def add_utterance(self, row: UtteranceRow) -> None:
-        self._rows.append(row)
-
     def handle(self, body: Mapping[str, Any]) -> dict[str, Any]:
         marker = body["marker"]
         start, end = body["start_step"], body["end_step"]
@@ -675,8 +672,12 @@ class BackendSuite:
         body = client.call({"marker": marker, "sample_index": sample_index})
         if not body["detected"]:
             return None
-        vector = np.asarray(body["embedding"], dtype=np.float32)
-        return Embedding(vector, modality)  # type: ignore[arg-type]
+        with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, rejected below
+            vector = np.asarray(body["embedding"], dtype=np.float32)
+        try:
+            return Embedding(vector, modality)  # type: ignore[arg-type]
+        except EmbeddingShapeError as exc:  # zero or non-finite float32 norm
+            raise BackendSchemaError(f"unusable embedding: {exc}", payload=dict(body)) from exc
 
 
 def mock_suite(

@@ -18,7 +18,6 @@ import numpy as np
 
 from .stream import AUDIO_EMPTY, SPEAKER_MARKER_BASE, StreamSegment, TokenStream
 
-TAG_NONE = 0
 TAG_START = 1
 TAG_IN = 2
 TAG_END = 3
@@ -62,32 +61,6 @@ class TagSequence:
         return np.array_equal(self.labels, other.labels)
 
     __hash__ = None  # type: ignore[assignment]
-
-    def to_rle(self) -> str:
-        """Run-length text form, e.g. "0:768 1:1 2:98 3:1"."""
-        if len(self) == 0:
-            return ""
-        labels = self.labels
-        boundaries = np.flatnonzero(np.diff(labels)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [labels.size]))
-        return " ".join(f"{int(labels[s])}:{int(e - s)}" for s, e in zip(starts, ends))
-
-    @classmethod
-    def from_rle(cls, text: str) -> "TagSequence":
-        if not text.strip():
-            return cls(np.zeros(0, dtype=np.uint8))
-        parts: list[np.ndarray] = []
-        for chunk in text.split():
-            try:
-                label_s, count_s = chunk.split(":")
-                label, count = int(label_s), int(count_s)
-            except ValueError as exc:
-                raise SessionError(f"bad run-length chunk {chunk!r}") from exc
-            if count < 1:
-                raise SessionError(f"run length must be positive in {chunk!r}")
-            parts.append(np.full(count, label, dtype=np.uint8))
-        return cls(np.concatenate(parts))
 
 
 @dataclass(frozen=True, order=True)

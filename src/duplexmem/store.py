@@ -8,6 +8,12 @@ treat edges as undirected. Writes are serialized under a lock and always
 replace whole profile snapshots, so readers never observe partial updates
 and a snapshot handed out earlier never mutates.
 
+Face and voice keys are stored as rows of one append-only KeyMatrix per
+modality, in creation (or load) order. Those float32 rows are the only copy
+of the key values: each profile's face_key/voice_key is a read-only view of
+its row, and user_keys hands out a prefix view of the rows, so no view ever
+mutates. Rows are never changed or removed.
+
 Persistence is a directory: a versioned JSON manifest, a binary sidecar with
 the raw float32 embeddings (checksummed from the manifest), and an
 append-only JSONL audit log. All three are written atomically.
@@ -26,7 +32,13 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .persona import DEFAULT_PERSONA_SLOTS
-from .verification import Embedding, cosine_distance
+from .verification import (
+    SCREEN_EPS,
+    Embedding,
+    KeyMatrix,
+    KeyView,
+    cosine_distance,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -101,10 +113,6 @@ class ExtractedMemory:
         object.__setattr__(self, "user_facts", tuple(self.user_facts))
         object.__setattr__(self, "persona_trail", dict(self.persona_trail))
         object.__setattr__(self, "relation_facts", tuple(map(tuple, self.relation_facts)))
-
-    @property
-    def is_valid(self) -> bool:
-        return bool(self.summary_sentences or self.user_facts)
 
     def to_payload(self) -> dict[str, Any]:
         return {
@@ -248,6 +256,7 @@ class MemoryStore:
         self._lock = threading.RLock()
         self._users: dict[str, UserProfile] = {}
         self._edges: dict[tuple[str, str, str], RelationTriplet] = {}
+        self._keys = {modality: KeyMatrix(modality) for modality in ("face", "voice")}
         self._aux: list[str] = []
         self._audit: list[dict[str, Any]] = []
         self._store_version = 0
@@ -285,13 +294,13 @@ class MemoryStore:
                 raise UnknownUserError(f"no user {user_id!r}")
             return replace(profile, relation_edges=self._edges_of(user_id))
 
-    def user_keys(self, modality: str) -> list[tuple[str, Embedding]]:
-        """(user_id, key) pairs for one modality, sorted by user id."""
-        if modality not in ("face", "voice"):
+    def user_keys(self, modality: str) -> KeyView:
+        """(user_id, key) pairs for one modality, sorted by user id: an
+        immutable view of the key rows as they are now."""
+        if modality not in self._keys:
             raise StoreError(f"no stored keys for modality {modality!r}")
         with self._lock:
-            attr = "face_key" if modality == "face" else "voice_key"
-            return [(uid, getattr(self._users[uid], attr)) for uid in sorted(self._users)]
+            return self._keys[modality].view()
 
     def name_directory(self) -> dict[str, str]:
         """Map from display name to user id, skipping unknown and ambiguous names."""
@@ -345,16 +354,12 @@ class MemoryStore:
         ts = timestamp or initial.session_timestamp
         with self._lock:
             self._validate_persona(initial.persona_trail)
-            for uid, profile in sorted(self._users.items()):
-                if (
-                    cosine_distance(face_key, profile.face_key) == 0.0
-                    or cosine_distance(voice_key, profile.voice_key) == 0.0
-                ):
-                    logger.warning("new profile duplicates identity keys of %s", uid)
-                    self._audit.append(
-                        {"action": "duplicate_identity_warning", "existing_user": uid}
-                    )
-                    break
+            duplicate = self._duplicate_of(face_key, voice_key)
+            if duplicate is not None:
+                logger.warning("new profile duplicates identity keys of %s", duplicate)
+                self._audit.append(
+                    {"action": "duplicate_identity_warning", "existing_user": duplicate}
+                )
             user_id = f"user_{self._next_user:04d}"
             self._next_user += 1
             profile = UserProfile(
@@ -366,6 +371,11 @@ class MemoryStore:
                 dialog_summaries=tuple(MemoryItem(t, ts) for t in initial.summary_sentences),
                 persona=dict(initial.persona_trail),
                 version=1,
+            )
+            profile = replace(
+                profile,
+                face_key=self._keys["face"].append(user_id, face_key.values),
+                voice_key=self._keys["voice"].append(user_id, voice_key.values),
             )
             self._users[user_id] = profile
             self._store_version += 1
@@ -379,6 +389,26 @@ class MemoryStore:
                 }
             )
             return user_id
+
+    def _duplicate_of(self, face_key: Embedding, voice_key: Embedding) -> str | None:
+        """The smallest user id with a key at cosine distance 0 from a new key.
+
+        Distance 0 means a similarity of at least 1, so only rows screened
+        within SCREEN_EPS of 1 can hold one; the per-pair rule decides.
+        """
+        if not self._users:
+            return None
+        faces, voices = self._keys["face"].view(), self._keys["voice"].view()
+        near = (faces.similarities(face_key) >= 1.0 - SCREEN_EPS) | (
+            voices.similarities(voice_key) >= 1.0 - SCREEN_EPS
+        )
+        for _, uid, face in faces.in_id_order(near):
+            if (
+                cosine_distance(face_key, face) == 0.0
+                or cosine_distance(voice_key, self._users[uid].voice_key) == 0.0
+            ):
+                return uid
+        return None
 
     def apply_profile_update(self, user_id: str, resolution: UpdateResolution) -> int:
         """Apply a reviewed resolution; returns the new profile version.
@@ -520,19 +550,19 @@ class MemoryStore:
                 {"action": "persist", "path": str(path), "store_version": self._store_version}
             )
             os.makedirs(path, exist_ok=True)
-            blocks: list[bytes] = []
+            # one buffer, user by user in id order: face values, then voice values
+            width = sum(matrix.dim for matrix in self._keys.values())
+            sidecar = np.empty((len(self._users), width), "<f4")
             offsets: dict[str, dict[str, Any]] = {}
-            cursor = 0
-            for uid in sorted(self._users):
+            for row, uid in enumerate(sorted(self._users)):
                 profile = self._users[uid]
                 entry: dict[str, Any] = {}
+                column = 0
                 for kind, emb in (("face", profile.face_key), ("voice", profile.voice_key)):
-                    raw = emb.values.astype("<f4").tobytes()
-                    entry[kind] = {"offset": cursor, "dim": emb.dim}
-                    blocks.append(raw)
-                    cursor += len(raw)
+                    sidecar[row, column:column + emb.dim] = emb.values
+                    entry[kind] = {"offset": 4 * (row * width + column), "dim": emb.dim}
+                    column += emb.dim
                 offsets[uid] = entry
-            sidecar = b"".join(blocks)
             checksum = hashlib.sha256(sidecar).hexdigest()
             manifest = {
                 "format": STORE_FORMAT,
@@ -571,14 +601,12 @@ class MemoryStore:
         store = cls(persona_slots=tuple(manifest["persona_slots"]))
         for uid, record in manifest["users"].items():
             keys = {}
-            for kind in ("face", "voice"):
+            for kind, matrix in store._keys.items():
                 meta = record["keys"][kind]
                 start, dim = meta["offset"], meta["dim"]
-                end = start + dim * 4
-                if end > len(sidecar):
+                if start + dim * 4 > len(sidecar):
                     raise StoreChecksumError("embedding sidecar is truncated")
-                vec = np.frombuffer(sidecar[start:end], dtype="<f4").copy()
-                keys[kind] = Embedding(vec, kind)  # type: ignore[arg-type]
+                keys[kind] = matrix.append(uid, np.frombuffer(sidecar, "<f4", dim, start))
             profile = UserProfile(
                 user_id=uid,
                 face_key=keys["face"],
@@ -604,7 +632,7 @@ class MemoryStore:
         return store
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, data: bytes | np.ndarray) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)

@@ -409,11 +409,6 @@ class SupervisionMask:
     def __len__(self) -> int:
         return int(self.mask.shape[0])
 
-    def supervised_steps(self) -> np.ndarray:
-        if self.kind == "session_tags":
-            return np.flatnonzero(self.mask)
-        return np.flatnonzero(self.mask.any(axis=1))
-
 
 def _require_placed(stream: TokenStream, scripts: Sequence[DialogScript]) -> None:
     for dialog in scripts:

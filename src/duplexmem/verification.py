@@ -6,6 +6,11 @@ applies adaptive score normalization against enrollment- and test-side
 cohorts before thresholding. Threshold tuning utilities (EER via linear
 interpolation of the FAR/FRR crossing) and retrieval metrics (pass@k) live
 here too, since the evaluation harness and the runtime share them.
+
+Stored keys live in a KeyMatrix: append-only float32 rows. Both rules screen
+every row with one matrix-vector product and rescore, with the per-pair
+functions below, only the rows whose exact score the screen cannot rule out
+(see SCREEN_EPS), so every decision is the one a loop over all keys makes.
 """
 
 from __future__ import annotations
@@ -24,6 +29,22 @@ MODALITY_DIMS = {"face": FACE_DIM, "voice": VOICE_DIM}
 DEFAULT_FACE_DELTA = 0.3
 DEFAULT_SPEAKER_THETA = 6.0
 DEFAULT_COHORT_TOP_N = 200
+
+# Bound on |screened - exact| cosine similarity of one key, used to decide
+# which rows the exact per-pair code must rescore. A float32 dot product of d
+# terms, summed in any order and with or without FMA, lies within
+# gamma_d * sum|q_j k_j| <= gamma_d * |q| |k| of the exact one, where
+# gamma_d = d u / (1 - d u) and u = 2**-24: 3.05e-5 at d = 512, the largest
+# key dimension. The screen (one sgemv) and cosine_distance (one sdot) take two
+# such products of the same vectors and divide both by the same float64
+# product of the stored float32 norms, each within gamma_d / 2 + u of exact.
+# Their similarities therefore differ by at most
+# 2 gamma_d / (1 - gamma_d - 2u) + 2**-52, about 6.1e-5. Clamping to [-1, 1]
+# and 1 - s widen no gap (both are 1-Lipschitz); the float64 rounding of 1 - s
+# and of the AS-norm arithmetic adds a few ulps, far inside the margin. 1e-3
+# keeps a margin of 16x over the whole gap and 32x over gamma_512.
+SCREEN_EPS = 1e-3
+_FIRST_BLOCK_ROWS = 64
 
 Modality = Literal["face", "voice", "text"]
 
@@ -154,9 +175,139 @@ class VerificationDecision:
             raise VerificationError(f"{self.outcome} decisions must not carry a user id")
 
 
+class KeyMatrix:
+    """Append-only float32 key rows of one modality, each with its user id.
+
+    Rows sit in blocks that are never reallocated (each new block holds as
+    many rows as all earlier ones), so an append moves no row and the
+    Embedding handed out for a row stays a read-only view of it. Key-side
+    AS-norm statistics depend only on a row and the key cohort; they are
+    cached for the last cohort used and extended as rows are appended.
+    """
+
+    def __init__(self, modality: Modality):
+        self.modality = modality
+        self.dim = MODALITY_DIMS[modality]
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (rows, float64 norms)
+        self._capacity = 0
+        self._ids: list[str] = []
+        self._keys: list[Embedding] = []
+        self._stats: tuple[CohortSet, np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[tuple[str, Embedding]], modality: Modality) -> "KeyView":
+        """A view of new rows holding (user_id, key) pairs, in sorted-id order."""
+        matrix = cls(modality)
+        for user_id, key in sorted(pairs, key=lambda item: item[0]):
+            if key.modality != modality:
+                raise ModalityMismatchError(f"key for {user_id!r} has modality {key.modality!r}")
+            matrix.append(user_id, key.values)
+        return matrix.view()
+
+    def append(self, user_id: str, values: np.ndarray) -> Embedding:
+        """Copy values into the next row; returns the row's read-only Embedding."""
+        values = np.asarray(values, dtype=np.float32)
+        if values.shape != (self.dim,):
+            raise EmbeddingShapeError(
+                f"{self.modality} embeddings must have {self.dim} dims, got shape {values.shape}"
+            )
+        n = len(self._ids)
+        if n == self._capacity:
+            size = max(_FIRST_BLOCK_ROWS, self._capacity)
+            self._blocks.append((np.empty((size, self.dim), np.float32), np.empty(size)))
+            self._capacity += size
+        rows, norms = self._blocks[-1]
+        index = n - (self._capacity - len(rows))
+        rows[index] = values
+        key = Embedding(rows[index], self.modality)
+        norms[index] = key.norm
+        self._keys.append(key)
+        self._ids.append(user_id)  # last: the id count marks the rows in use
+        return key
+
+    def view(self) -> "KeyView":
+        return KeyView(self, len(self._ids))
+
+    def key_stats(self, cohort: CohortSet, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Key-side AS-norm (mean, std) of the first n rows against a cohort.
+
+        Concurrent callers may compute the same rows twice; every copy of a
+        statistic is the same, so whichever result is cached last is right.
+        """
+        cached = self._stats
+        if cached is None or cached[0] is not cohort:
+            cached = (cohort, np.empty(0), np.empty(0))
+        _, means, stds = cached
+        if len(means) < n:
+            new = [
+                _top_cohort_stats(cohort.scores_against(key), cohort.top_n)
+                for key in self._keys[len(means):n]
+            ]
+            means = np.concatenate((means, [m for m, _ in new]))
+            stds = np.concatenate((stds, [s for _, s in new]))
+            self._stats = (cohort, means, stds)
+        return means[:n], stds[:n]
+
+
+class KeyView(Sequence[tuple[str, Embedding]]):
+    """The first n rows of a KeyMatrix, read as (user_id, key) pairs sorted by
+    user id. Rows are append-only, so a view never changes."""
+
+    def __init__(self, matrix: KeyMatrix, n: int):
+        self.matrix = matrix
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):  # type: ignore[override]
+        return self._pairs[index]
+
+    @cached_property
+    def _pairs(self) -> list[tuple[str, Embedding]]:
+        return [(user_id, key) for _, user_id, key in self.in_id_order(np.ones(self._n, bool))]
+
+    def in_id_order(self, mask: np.ndarray) -> list[tuple[int, str, Embedding]]:
+        """(row, user_id, key) where mask holds, by user id, then by row."""
+        ids, keys = self.matrix._ids, self.matrix._keys
+        rows = sorted(np.flatnonzero(mask).tolist(), key=lambda r: (ids[r], r))
+        return [(r, ids[r], keys[r]) for r in rows]
+
+    def similarities(self, query: Embedding) -> np.ndarray:
+        """Clamped cosine similarity of the query to every row, in row order,
+        within SCREEN_EPS of cosine_similarity's."""
+        if query.dim != self.matrix.dim:
+            raise EmbeddingShapeError(f"dimension mismatch: {query.dim} vs {self.matrix.dim}")
+        parts = []
+        left = self._n
+        for rows, norms in self.matrix._blocks:
+            take = min(len(rows), left)
+            if take <= 0:
+                break
+            # the same float64 quotient as cosine_distance, of a float32 dot product
+            parts.append((rows[:take] @ query.values) / (query.norm * norms[:take]))
+            left -= take
+        return np.clip(np.concatenate(parts), -1.0, 1.0)
+
+
+def _key_view(users: KeyView | Sequence[tuple[str, Embedding]], modality: Modality) -> KeyView:
+    if not isinstance(users, KeyView):
+        return KeyMatrix.from_pairs(users, modality)
+    if users.matrix.modality != modality:
+        user_id, key = users[0]
+        raise ModalityMismatchError(f"key for {user_id!r} has modality {key.modality!r}")
+    return users
+
+
+def _may_be_best(approx: np.ndarray, err: float | np.ndarray) -> np.ndarray:
+    """Rows whose exact score can reach the highest exact score, when every
+    |approx - exact| <= err. A NaN anywhere keeps every row."""
+    return ~(approx + err < np.max(approx - err))
+
+
 def face_verify(
     query: Embedding,
-    users: Sequence[tuple[str, Embedding]],
+    users: KeyView | Sequence[tuple[str, Embedding]],
     delta: float = DEFAULT_FACE_DELTA,
 ) -> VerificationDecision:
     """Match a face embedding against stored keys by minimum cosine distance.
@@ -169,11 +320,10 @@ def face_verify(
         raise ModalityMismatchError(f"query modality {query.modality!r}, expected 'face'")
     if not users:
         return VerificationDecision("new_user", None, None, None, delta)
+    keys = _key_view(users, "face")
     best_id: str | None = None
     best_d = math.inf
-    for user_id, key in sorted(users, key=lambda item: item[0]):
-        if key.modality != "face":
-            raise ModalityMismatchError(f"key for {user_id!r} has modality {key.modality!r}")
+    for _, user_id, key in keys.in_id_order(_may_be_best(keys.similarities(query), SCREEN_EPS)):
         d = cosine_distance(query, key)
         if d < best_d:
             best_d = d
@@ -197,6 +347,10 @@ def _top_cohort_stats(scores: Sequence[float] | np.ndarray, top_n: int) -> tuple
     return mean, std
 
 
+def _asnorm(raw, mean_q, std_q, mean_k, std_k):  # type: ignore[no-untyped-def]
+    return 0.5 * ((raw - mean_q) / std_q + (raw - mean_k) / std_k)
+
+
 def asnorm_score(
     raw_score: float,
     query_cohort_scores: Sequence[float] | np.ndarray,
@@ -211,12 +365,12 @@ def asnorm_score(
     """
     mean_q, std_q = _top_cohort_stats(query_cohort_scores, top_n)
     mean_k, std_k = _top_cohort_stats(key_cohort_scores, top_n)
-    return 0.5 * ((raw_score - mean_q) / std_q + (raw_score - mean_k) / std_k)
+    return _asnorm(raw_score, mean_q, std_q, mean_k, std_k)
 
 
 def speaker_verify(
     query: Embedding,
-    users: Sequence[tuple[str, Embedding]],
+    users: KeyView | Sequence[tuple[str, Embedding]],
     query_cohort: CohortSet,
     key_cohort: CohortSet,
     theta: float = DEFAULT_SPEAKER_THETA,
@@ -233,15 +387,17 @@ def speaker_verify(
         raise VerificationError("query and key cohorts must agree on top_n")
     if not users:
         return VerificationDecision("new_user", None, None, None, theta)
-    top_n = query_cohort.top_n
+    keys = _key_view(users, "voice")
     q_scores = query_cohort.scores_against(query)
+    mean_k, std_k = keys.matrix.key_stats(key_cohort, len(keys))
+    mean_q, std_q = _top_cohort_stats(q_scores, query_cohort.top_n)
+    # asnorm is linear in the raw score with slope (1/std_q + 1/std_k) / 2
+    screened = _asnorm(keys.similarities(query), mean_q, std_q, mean_k, std_k)
+    err = 0.5 * SCREEN_EPS * (1.0 / std_q + 1.0 / std_k)
     best: tuple[float, str, float] | None = None  # (normalized, user_id, raw)
-    for user_id, key in sorted(users, key=lambda item: item[0]):
-        if key.modality != "voice":
-            raise ModalityMismatchError(f"key for {user_id!r} has modality {key.modality!r}")
+    for row, user_id, key in keys.in_id_order(_may_be_best(screened, err)):
         raw = cosine_similarity(query, key)
-        k_scores = key_cohort.scores_against(key)
-        normalized = asnorm_score(raw, q_scores, k_scores, top_n)
+        normalized = _asnorm(raw, mean_q, std_q, float(mean_k[row]), float(std_k[row]))
         if best is None or normalized > best[0]:
             best = (normalized, user_id, raw)
     assert best is not None

@@ -228,9 +228,9 @@ class TestMockAsr:
         ] == ""
 
     def test_rows_sorted_by_span(self):
-        service = MockAsrService()
-        service.add_utterance(UtteranceRow(2, 50, 60, "assistant", "second"))
-        service.add_utterance(UtteranceRow(2, 10, 20, "user", "first"))
+        service = MockAsrService(
+            [UtteranceRow(2, 50, 60, "assistant", "second"), UtteranceRow(2, 10, 20, "user", "first")]
+        )
         body = service.handle({"marker": 2, "start_step": 0, "end_step": 100})
         assert body["transcript"] == "user: first\nassistant: second"
 

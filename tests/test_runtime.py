@@ -457,6 +457,18 @@ class TestRunAgent:
         assert counters.refresh_signals == counters.switch_count + counters.loss_clear_count
 
     def test_malformed_encoder_replies_are_contained(self):
+        self.check_replies_are_contained(([0.5] * 511, [float("nan")] * 512), [0.5] * 255)
+
+    @pytest.mark.parametrize(
+        "voice_reply", [[0.0] * 256, [1e39] + [0.5] * 255], ids=["zero", "beyond_float32"]
+    )
+    def test_zero_norm_and_overflow_replies_are_contained(self, voice_reply):
+        # both pass the schema's finite-number check; neither makes an Embedding
+        self.check_replies_are_contained(([0.0] * 512, [1e39] + [0.5] * 511), voice_reply)
+
+    def check_replies_are_contained(self, face_replies, voice_reply):
+        """Two bad face replies and one bad voice reply at spoken ticks, the
+        second face and the voice reply again at the two sessions."""
         dialogs = [
             DialogScript(f"d{i}", emily_dialog(turns=3).turns) for i in range(2)
         ]
@@ -466,13 +478,13 @@ class TestRunAgent:
             step for step in range(24, len(stream), 25)
             if stream.segment(step - 24, step + 1).dominant_marker() is not None
         ]
-        bad_face, nan_face, bad_voice = spoken[1], spoken[3], spoken[5]
+        bad_face, second_face, bad_voice = spoken[1], spoken[3], spoken[5]
         bad = {
-            ("face_encoder", bad_face): [0.5] * 511,
-            ("face_encoder", nan_face): [float("nan")] * 512,
-            ("voice_encoder", bad_voice): [0.5] * 255,
-            ("face_encoder", sessions[0]): [float("nan")] * 512,
-            ("voice_encoder", sessions[1]): [0.5] * 255,
+            ("face_encoder", bad_face): face_replies[0],
+            ("face_encoder", second_face): face_replies[1],
+            ("voice_encoder", bad_voice): voice_reply,
+            ("face_encoder", sessions[0]): face_replies[1],
+            ("voice_encoder", sessions[1]): voice_reply,
         }
         suite = mock_suite(
             ROSTER, utterances=rows, wrap_transport=lambda t: CorruptingTransport(t, bad)
@@ -483,13 +495,13 @@ class TestRunAgent:
         result = run_agent(stream, emily_store(), suite, AgentConfig(), cycle_config=cycle_config)
 
         ticks = {e["step"]: e for e in result.events if e["event"] == "tick"}
-        for step in (bad_face, nan_face):
+        for step in (bad_face, second_face):
             assert ticks[step]["outcome"] == "no_signal"
             assert ticks[step]["backend_error"].startswith("face_encoder:")
         assert ticks[bad_voice]["outcome"] == "same_user"  # the face decision stands
         assert ticks[bad_voice]["backend_error"].startswith("voice_encoder:")
         errored = [step for step, tick in ticks.items() if tick["backend_error"]]
-        assert errored == [bad_face, nan_face, bad_voice]
+        assert errored == [bad_face, second_face, bad_voice]
         assert result.counters.backend_error_count == 3
         (report,) = result.cycle_reports
         assert [r.start_step for r in report.records] == sessions

@@ -54,28 +54,6 @@ class TestTagSequence:
         assert a != TagSequence(np.array([0, 1, 2], dtype=np.uint8))
         assert a != "something else"
 
-    def test_rle_rendering(self):
-        seq = TagSequence(np.array([0, 0, 0, 1, 2, 2, 3], dtype=np.uint8))
-        assert seq.to_rle() == "0:3 1:1 2:2 3:1"
-        assert TagSequence(np.zeros(0, dtype=np.uint8)).to_rle() == ""
-
-    def test_rle_parsing(self):
-        seq = TagSequence.from_rle("0:3 1:1 2:2 3:1")
-        assert seq.labels.tolist() == [0, 0, 0, 1, 2, 2, 3]
-        assert TagSequence.from_rle("  ") == TagSequence(np.zeros(0, dtype=np.uint8))
-        with pytest.raises(SessionError):
-            TagSequence.from_rle("1:x")
-        with pytest.raises(SessionError):
-            TagSequence.from_rle("2:0")
-        with pytest.raises(SessionError):
-            TagSequence.from_rle("7")
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(0, 3), max_size=200))
-    def test_rle_round_trip(self, labels):
-        seq = TagSequence(np.asarray(labels, dtype=np.uint8))
-        assert TagSequence.from_rle(seq.to_rle()) == seq
-
 
 class TestSessionSpan:
     def test_inclusive_length(self):

@@ -57,11 +57,6 @@ class TestValueTypes:
         with pytest.raises(StoreError):
             RelationTriplet("user_0001", "", "user_0002")
 
-    def test_extracted_memory_validity(self):
-        assert not ExtractedMemory().is_valid
-        assert ExtractedMemory(user_facts=("likes tea",)).is_valid
-        assert ExtractedMemory(summary_sentences=("talked about tea",)).is_valid
-
     def test_extracted_memory_payload_round_trip(self):
         memory = ExtractedMemory(
             summary_sentences=("s1", "s2"),
@@ -178,6 +173,60 @@ class TestCreateAndLookup:
         assert keys[1][1] == store.lookup_user(ids[1]).face_key
         with pytest.raises(StoreError):
             store.user_keys("text")
+
+    def test_user_keys_view_never_changes(self, tmp_path):
+        store, ids = fresh_store(3)
+        faces, voices = store.user_keys("face"), store.user_keys("voice")
+        expected = [(uid, store.lookup_user(uid)) for uid in ids]
+        # enough users to fill the first block of rows and start another
+        for i in range(3, 80):
+            store.create_user(face(i), voice(i), ExtractedMemory(user_name=f"p{i}"))
+        store.apply_profile_update(
+            ids[1], UpdateResolution(ids[1], 1, fact_appends=(MemoryItem("f", "t"),))
+        )
+        assert len(faces) == len(voices) == 3
+        assert list(faces) == [(uid, p.face_key) for uid, p in expected]
+        assert list(voices) == [(uid, p.voice_key) for uid, p in expected]
+        assert face(1) == faces[1][1] and voice(1) == voices[1][1]
+        assert len(store.user_keys("face")) == 80
+        key = store.lookup_user(ids[0]).face_key.values
+        assert not key.flags.writeable and key.base is not None  # a view of its row
+
+        store.persist(str(tmp_path / "s"))
+        loaded = MemoryStore.load(str(tmp_path / "s"))
+        assert loaded == store
+        for modality in ("face", "voice"):
+            assert list(loaded.user_keys(modality)) == list(store.user_keys(modality))
+
+    def test_enrolment_rescores_only_screened_keys(self, monkeypatch):
+        import duplexmem.store as store_module
+
+        calls = []
+        exact = store_module.cosine_distance
+        monkeypatch.setattr(
+            store_module, "cosine_distance", lambda a, b: calls.append(1) or exact(a, b)
+        )
+        rng = np.random.default_rng(3)
+        one_hot = np.zeros(512)
+        one_hot[7] = 1.0
+        store = MemoryStore()
+        most = 0
+        for i in range(2_000):
+            before = len(calls)
+            store.create_user(
+                Embedding(one_hot if i == 1_499 else rng.normal(size=512), "face"),
+                Embedding(rng.normal(size=256), "voice"),
+                ExtractedMemory(user_name=f"p{i}"),
+            )
+            most = max(most, len(calls) - before)
+        assert most <= 2
+        # an exactly parallel key (distance 0) is still found, with as few calls
+        before = len(calls)
+        store.create_user(Embedding(one_hot * 3.0, "face"), voice(0), ExtractedMemory())
+        assert len(calls) - before <= 2
+        assert store.audit_entries[-2] == {
+            "action": "duplicate_identity_warning", "existing_user": "user_1500"
+        }
 
 
 class TestProfileUpdates:

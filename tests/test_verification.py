@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duplexmem.verification import (
+    DEFAULT_FACE_DELTA,
+    DEFAULT_SPEAKER_THETA,
     CohortSet,
     DegenerateCohortError,
     Embedding,
     EmbeddingShapeError,
+    KeyMatrix,
     ModalityMismatchError,
+    VerificationDecision,
     VerificationError,
     asnorm_score,
     compute_eer,
@@ -264,6 +268,149 @@ class TestSpeakerVerify:
         k = CohortSet(tuple(voice_vec(20 + i) for i in range(8)), top_n=5)
         with pytest.raises(VerificationError):
             speaker_verify(voice_vec(0), [("u", voice_vec(1))], q, k)
+
+
+# --------------------------------------------------------------------------
+# key-matrix screen against the per-pair loops it replaced
+
+
+def reference_face_verify(query, users, delta):
+    """The loop over every key that face_verify replaced, kept verbatim."""
+    if query.modality != "face":
+        raise ModalityMismatchError(f"query modality {query.modality!r}, expected 'face'")
+    if not users:
+        return VerificationDecision("new_user", None, None, None, delta)
+    best_id: str | None = None
+    best_d = math.inf
+    for user_id, key in sorted(users, key=lambda item: item[0]):
+        if key.modality != "face":
+            raise ModalityMismatchError(f"key for {user_id!r} has modality {key.modality!r}")
+        d = cosine_distance(query, key)
+        if d < best_d:
+            best_d = d
+            best_id = user_id
+    if best_d < delta:
+        return VerificationDecision("matched", best_id, best_d, best_d, delta)
+    return VerificationDecision("new_user", None, None, best_d, delta)
+
+
+def reference_speaker_verify(query, users, query_cohort, key_cohort, theta):
+    """The loop over every key that speaker_verify replaced, kept verbatim."""
+    if query.modality != "voice":
+        raise ModalityMismatchError(f"query modality {query.modality!r}, expected 'voice'")
+    if query_cohort.top_n != key_cohort.top_n:
+        raise VerificationError("query and key cohorts must agree on top_n")
+    if not users:
+        return VerificationDecision("new_user", None, None, None, theta)
+    top_n = query_cohort.top_n
+    q_scores = query_cohort.scores_against(query)
+    best: tuple[float, str, float] | None = None  # (normalized, user_id, raw)
+    for user_id, key in sorted(users, key=lambda item: item[0]):
+        if key.modality != "voice":
+            raise ModalityMismatchError(f"key for {user_id!r} has modality {key.modality!r}")
+        raw = cosine_similarity(query, key)
+        k_scores = key_cohort.scores_against(key)
+        normalized = asnorm_score(raw, q_scores, k_scores, top_n)
+        if best is None or normalized > best[0]:
+            best = (normalized, user_id, raw)
+    assert best is not None
+    normalized, user_id, raw = best
+    if normalized > theta:
+        return VerificationDecision("matched", user_id, normalized, raw, theta)
+    return VerificationDecision("new_user", None, normalized, raw, theta)
+
+
+@st.composite
+def galleries(draw, dim):
+    """(query, shuffled pairs) with exact duplicates and scaled parallel copies
+    of some keys, ids on either side of user_9999/user_10000, and a query that
+    is often parallel to a key, so that its similarity clamps at 1."""
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.standard_normal((n, dim))
+    for i in range(1, n):
+        copy = draw(st.sampled_from(["own", "own", "own", "duplicate", "scaled"]))
+        if copy != "own":
+            vectors[i] = vectors[int(rng.integers(i))] * (1.0 if copy == "duplicate" else 3.0)
+    first = draw(st.sampled_from([1, 9_999 - n // 2, 9_990]))
+    pairs = [(f"user_{first + i:04d}", Embedding(v, VECTOR_MODALITY[dim]))
+             for i, v in enumerate(vectors)]
+    rng.shuffle(pairs)
+    if n and draw(st.booleans()):
+        query = vectors[int(rng.integers(n))] * draw(st.sampled_from([1.0, 0.5, 7.0]))
+        query = query + draw(st.sampled_from([0.0, 1e-3, 0.3])) * rng.standard_normal(dim)
+    else:
+        query = rng.standard_normal(dim)
+    return Embedding(query, VECTOR_MODALITY[dim]), pairs
+
+
+VECTOR_MODALITY = {512: "face", 256: "voice"}
+SPEAKER_COHORTS = (
+    CohortSet(tuple(voice_vec(1000 + i) for i in range(40)), top_n=20),
+    CohortSet(tuple(voice_vec(2000 + i) for i in range(40)), top_n=20),
+)
+
+
+def appended(pairs, modality):
+    """A view of rows appended in the pairs' own (unsorted) order."""
+    matrix = KeyMatrix(modality)
+    for user_id, key in pairs:
+        matrix.append(user_id, key.values)
+    return matrix.view()
+
+
+class TestKeyMatrixEquivalence:
+    @given(galleries(512), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_face_decision_equals_the_loop(self, gallery, at_score):
+        query, pairs = gallery
+        delta = DEFAULT_FACE_DELTA
+        expected = reference_face_verify(query, pairs, delta)
+        if at_score and expected.raw_score is not None:
+            delta = expected.raw_score  # a threshold equal to the best distance
+            expected = reference_face_verify(query, pairs, delta)
+        assert face_verify(query, pairs, delta) == expected
+        assert face_verify(query, appended(pairs, "face"), delta) == expected
+
+    @given(galleries(256), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_speaker_decision_equals_the_loop(self, gallery, at_score):
+        query, pairs = gallery
+        q_cohort, k_cohort = SPEAKER_COHORTS
+        theta = DEFAULT_SPEAKER_THETA
+        expected = reference_speaker_verify(query, pairs, q_cohort, k_cohort, theta)
+        if at_score and expected.score is not None:
+            theta = expected.score  # a threshold equal to the best normalized score
+            expected = reference_speaker_verify(query, pairs, q_cohort, k_cohort, theta)
+        assert speaker_verify(query, pairs, q_cohort, k_cohort, theta) == expected
+        view = appended(pairs, "voice")
+        assert speaker_verify(query, view, q_cohort, k_cohort, theta) == expected
+        # again from the key statistics cached by the first call
+        assert speaker_verify(query, view, q_cohort, k_cohort, theta) == expected
+
+    def test_view_reads_pairs_sorted_by_id(self):
+        pairs = [("user_10000", face_vec(1)), ("user_9999", face_vec(2)), ("user_0001", face_vec(3))]
+        view = appended(pairs, "face")
+        assert len(view) == 3
+        assert [uid for uid, _ in view] == ["user_0001", "user_10000", "user_9999"]
+        assert view[1] == ("user_10000", face_vec(1))
+        assert not view[0][1].values.flags.writeable
+
+    def test_view_of_other_modality_rejected(self):
+        view = appended([("u", voice_vec(1))], "voice")
+        with pytest.raises(ModalityMismatchError):
+            face_verify(face_vec(0), view)
+
+    def test_zero_std_key_cohort_raises(self):
+        e0, e1 = np.zeros(256), np.zeros(256)
+        e0[0], e1[1] = 1.0, 1.0
+        key_cohort = CohortSet(tuple(Embedding(e1, "voice") for _ in range(4)), top_n=4)
+        query_cohort = CohortSet(tuple(voice_vec(100 + i) for i in range(4)), top_n=4)
+        users = [("user_0001", Embedding(e0, "voice"))]
+        with pytest.raises(DegenerateCohortError):
+            reference_speaker_verify(voice_vec(0), users, query_cohort, key_cohort, 6.0)
+        with pytest.raises(DegenerateCohortError):
+            speaker_verify(voice_vec(0), users, query_cohort, key_cohort, 6.0)
 
 
 # --------------------------------------------------------------------------
