@@ -599,24 +599,28 @@ class MemoryStore:
             raise StoreChecksumError("embedding sidecar does not match its manifest checksum")
 
         store = cls(persona_slots=tuple(manifest["persona_slots"]))
-        for uid, record in manifest["users"].items():
-            keys = {}
-            for kind, matrix in store._keys.items():
+        users = manifest["users"]
+        keys = {}
+        for kind, matrix in store._keys.items():
+            rows = []
+            for uid, record in users.items():
                 meta = record["keys"][kind]
                 start, dim = meta["offset"], meta["dim"]
                 if start + dim * 4 > len(sidecar):
                     raise StoreChecksumError("embedding sidecar is truncated")
-                keys[kind] = matrix.append(uid, np.frombuffer(sidecar, "<f4", dim, start))
+                rows.append(np.frombuffer(sidecar, "<f4", dim, start))
+            keys[kind] = matrix.extend(list(users), rows)
+        for (uid, record), face_key, voice_key in zip(users.items(), keys["face"], keys["voice"]):
             profile = UserProfile(
                 user_id=uid,
-                face_key=keys["face"],
-                voice_key=keys["voice"],
+                face_key=face_key,
+                voice_key=voice_key,
                 name=record["name"],
                 facts=tuple(MemoryItem(i["text"], i["timestamp"]) for i in record["facts"]),
                 dialog_summaries=tuple(
                     MemoryItem(i["text"], i["timestamp"]) for i in record["dialog_summaries"]
                 ),
-                persona=dict(record["persona"]),
+                persona=record["persona"],  # the profile copies it
                 version=record["version"],
             )
             store._users[uid] = profile

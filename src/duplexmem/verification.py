@@ -88,6 +88,15 @@ class Embedding:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_norm", norm)
 
+    @classmethod
+    def _of_row(cls, values: np.ndarray, modality: Modality, norm: float) -> "Embedding":
+        """A read-only key row that KeyMatrix.extend has checked and normed
+        exactly as __post_init__ does."""
+        key = object.__new__(cls)
+        fields = key.__dict__  # frozen: the fields are set in place, once
+        fields["values"], fields["modality"], fields["_norm"] = values, modality, norm
+        return key
+
     @property
     def norm(self) -> float:
         return self._norm  # type: ignore[attr-defined]
@@ -197,33 +206,60 @@ class KeyMatrix:
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[str, Embedding]], modality: Modality) -> "KeyView":
         """A view of new rows holding (user_id, key) pairs, in sorted-id order."""
-        matrix = cls(modality)
-        for user_id, key in sorted(pairs, key=lambda item: item[0]):
+        pairs = sorted(pairs, key=lambda item: item[0])
+        for user_id, key in pairs:
             if key.modality != modality:
                 raise ModalityMismatchError(f"key for {user_id!r} has modality {key.modality!r}")
-            matrix.append(user_id, key.values)
+        matrix = cls(modality)
+        matrix.extend([user_id for user_id, _ in pairs], [key.values for _, key in pairs])
         return matrix.view()
 
     def append(self, user_id: str, values: np.ndarray) -> Embedding:
         """Copy values into the next row; returns the row's read-only Embedding."""
-        values = np.asarray(values, dtype=np.float32)
-        if values.shape != (self.dim,):
-            raise EmbeddingShapeError(
-                f"{self.modality} embeddings must have {self.dim} dims, got shape {values.shape}"
-            )
-        n = len(self._ids)
-        if n == self._capacity:
+        return self.extend([user_id], [values])[0]
+
+    def extend(self, user_ids: Sequence[str], values: Sequence[np.ndarray]) -> list[Embedding]:
+        """Copy values[i] into the next row for user_ids[i]; returns each row's
+        read-only Embedding. A row fails as Embedding fails on it, and then no
+        row is added. Each row is copied straight into its block, so loading a
+        store makes no second copy of all its keys."""
+        if len(values) != len(user_ids):
+            raise ValueError(f"{len(user_ids)} user ids for {len(values)} rows")
+        first, end = len(self._ids), len(self._ids) + len(user_ids)
+        while self._capacity < end:
             size = max(_FIRST_BLOCK_ROWS, self._capacity)
             self._blocks.append((np.empty((size, self.dim), np.float32), np.empty(size)))
             self._capacity += size
-        rows, norms = self._blocks[-1]
-        index = n - (self._capacity - len(rows))
-        rows[index] = values
-        key = Embedding(rows[index], self.modality)
-        norms[index] = key.norm
-        self._keys.append(key)
-        self._ids.append(user_id)  # last: the id count marks the rows in use
-        return key
+        keys: list[Embedding] = []
+        rest = iter(values)
+        start = 0  # row number of the block's first row
+        for rows, norms in self._blocks:
+            lo, hi = max(first, start) - start, min(end, start + len(rows)) - start
+            start += len(rows)
+            if lo >= hi:
+                continue
+            for row, value in zip(rows[lo:hi], rest):
+                value = np.asarray(value, dtype=np.float32)
+                if value.shape != row.shape:
+                    raise EmbeddingShapeError(
+                        f"{self.modality} embeddings must have {self.dim} dims, "
+                        f"got shape {value.shape}"
+                    )
+                row[...] = value
+            # np.linalg.norm of a float32 vector is the float32 sqrt of its own
+            # dot product, so these are the norms Embedding computes
+            norm = np.sqrt(np.array([row.dot(row) for row in rows[lo:hi]], np.float32))
+            if not np.all(np.isfinite(norm) & (norm != 0.0)):
+                raise EmbeddingShapeError("embedding norm must be positive and finite")
+            norms[lo:hi] = norm
+            frozen = rows[lo:hi]
+            frozen.setflags(write=False)
+            keys += [
+                Embedding._of_row(row, self.modality, x) for row, x in zip(frozen, norm.tolist())
+            ]
+        self._keys += keys
+        self._ids += user_ids  # last: the id count marks the rows in use
+        return keys
 
     def view(self) -> "KeyView":
         return KeyView(self, len(self._ids))

@@ -22,7 +22,7 @@ from duplexmem.store import (
     UserProfile,
     seed_profile,
 )
-from duplexmem.verification import Embedding
+from duplexmem.verification import Embedding, EmbeddingShapeError
 
 
 def face(i):
@@ -543,6 +543,19 @@ class TestPersistence:
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(StoreChecksumError):
+            MemoryStore.load(target)
+
+    def test_wrong_key_dim_in_manifest_rejected(self, tmp_path):
+        store = self.populated()
+        target = str(tmp_path / "store")
+        store.persist(target)
+        manifest_path = os.path.join(target, "store.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["users"]["user_0002"]["keys"]["voice"]["dim"] = 255
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(EmbeddingShapeError):
             MemoryStore.load(target)
 
     def test_unknown_format_rejected(self, tmp_path):

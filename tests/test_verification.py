@@ -396,6 +396,31 @@ class TestKeyMatrixEquivalence:
         assert view[1] == ("user_10000", face_vec(1))
         assert not view[0][1].values.flags.writeable
 
+    @pytest.mark.parametrize("modality", ["face", "voice"])
+    def test_rows_carry_the_norms_embedding_computes(self, modality):
+        rng = np.random.default_rng(7)
+        dim = 512 if modality == "face" else 256
+        scales = [1e-15, 1e-3, 1.0, 3.0, 1e15]
+        values = [rng.standard_normal(dim) * scales[i % len(scales)] for i in range(150)]
+        matrix = KeyMatrix(modality)
+        keys = matrix.extend([f"user_{i:04d}" for i in range(149)], values[:149])
+        keys.append(matrix.append("user_0149", values[149]))  # the extend fills three blocks
+        for key, value in zip(keys, values):
+            expected = Embedding(value, modality)
+            assert key == expected and key.norm == expected.norm
+            assert not key.values.flags.writeable
+
+    def test_rejected_row_adds_none(self):
+        matrix = KeyMatrix("voice")
+        matrix.append("user_0001", voice_vec(1).values)
+        bad_rows = ([np.zeros(256)], [np.full(256, np.inf)], [np.full(256, np.nan)], [np.ones(255)])
+        for bad in bad_rows:
+            with pytest.raises(EmbeddingShapeError):
+                matrix.extend(["user_0002", "user_0003"], [voice_vec(2).values] + bad)
+        assert len(matrix.view()) == 1
+        assert matrix.append("user_0002", voice_vec(2).values) == voice_vec(2)
+        assert [uid for uid, _ in matrix.view()] == ["user_0001", "user_0002"]
+
     def test_view_of_other_modality_rejected(self):
         view = appended([("u", voice_vec(1))], "voice")
         with pytest.raises(ModalityMismatchError):
