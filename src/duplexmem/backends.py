@@ -39,6 +39,7 @@ BACKEND_KINDS = (
 
 SCHEMA_VERSION = 1
 TEXT_EMBED_DIM = 128
+TEXTS_PER_ENVELOPE = 64  # keeps each text reply, and the run's peak memory, small
 DEFAULT_NOISE_SCALE = 0.05
 ENV_ADDR_PREFIX = "DUPLEXMEM_"
 
@@ -660,11 +661,22 @@ class BackendSuite:
             raise ValueError(f"unknown backend kind {kind!r}")
         return getattr(self, kind)
 
-    def embed_text(self, text: str) -> Embedding:
-        """Adapter matching the retrieval module's encoder callable."""
-        body = self.text_encoder.call({"texts": [text]})
-        vector = np.asarray(body["embeddings"][0], dtype=np.float32)
-        return Embedding(vector, "text")
+    def embed_texts(self, texts: Sequence[str]) -> list[Embedding]:
+        """Adapter matching the retrieval module's encoder callable.
+
+        Sends one envelope per TEXTS_PER_ENVELOPE texts, in order. A reply
+        must hold one embedding per text it was sent.
+        """
+        out: list[Embedding] = []
+        for start in range(0, len(texts), TEXTS_PER_ENVELOPE):
+            batch = list(texts[start:start + TEXTS_PER_ENVELOPE])
+            body = self.text_encoder.call({"texts": batch})
+            if len(body["embeddings"]) != len(batch):
+                raise BackendSchemaError(
+                    f"{len(body['embeddings'])} embeddings for {len(batch)} texts", payload=body
+                )
+            out += [_embedding(values, "text", body) for values in body["embeddings"]]
+        return out
 
     def encode_av(self, modality: str, marker: int | None, sample_index: int) -> Embedding | None:
         """Face/voice observation for a marker, or None when undetected."""
@@ -672,12 +684,17 @@ class BackendSuite:
         body = client.call({"marker": marker, "sample_index": sample_index})
         if not body["detected"]:
             return None
-        with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, rejected below
-            vector = np.asarray(body["embedding"], dtype=np.float32)
-        try:
-            return Embedding(vector, modality)  # type: ignore[arg-type]
-        except EmbeddingShapeError as exc:  # zero or non-finite float32 norm
-            raise BackendSchemaError(f"unusable embedding: {exc}", payload=dict(body)) from exc
+        return _embedding(body["embedding"], modality, body)
+
+
+def _embedding(values: Sequence[float], modality: str, body: Mapping[str, Any]) -> Embedding:
+    """An Embedding of a reply's values, or BackendSchemaError for an unusable one."""
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, rejected below
+        vector = np.asarray(values, dtype=np.float32)
+    try:
+        return Embedding(vector, modality)  # type: ignore[arg-type]
+    except EmbeddingShapeError as exc:  # zero or non-finite float32 norm
+        raise BackendSchemaError(f"unusable embedding: {exc}", payload=dict(body)) from exc
 
 
 def mock_suite(

@@ -30,6 +30,7 @@ from .backends import (
     stable_seed,
 )
 from .retrieval import (
+    DocumentIndex,
     QueryGroups,
     retrieve_topk,
     tokenize,
@@ -1054,8 +1055,8 @@ def eval_trigger(n_streams: int = 100, seed: int = 0) -> MetricsTable:
 # evaluation: retrieval
 
 
-def _mock_text_encoder(text: str) -> Embedding:
-    return Embedding(MockTextEncoderService.embed_vector(text), "text")
+def _mock_text_encoder(texts: Sequence[str]) -> list[Embedding]:
+    return [Embedding(MockTextEncoderService.embed_vector(text), "text") for text in texts]
 
 
 @dataclass(frozen=True)
@@ -1125,9 +1126,10 @@ def eval_retrieval(
     fixture = build_retrieval_fixture(seed, n_neighbors, facts_per_neighbor, n_queries)
     hits = 0
     budget_ok = 0
+    index = DocumentIndex()
     for groups, relevant in fixture.queries:
         result = retrieve_topk(
-            groups, fixture.store, fixture.host_id, encoder=_mock_text_encoder, k=k
+            groups, fixture.store, fixture.host_id, encoder=_mock_text_encoder, k=k, index=index
         )
         returned_texts = [sd.document.text.split(", ", 3)[3] for sd in result.documents]
         if all(text in returned_texts for text in relevant):

@@ -318,10 +318,29 @@ def run_management_cycle(
     config: CycleConfig = CycleConfig(),
     tagger: TaggerBackend | None = None,
 ) -> CycleReport:
-    """Tag a chunk, extract its sessions, and process each one in isolation."""
+    """Tag a chunk, extract its sessions, and process each one in isolation.
+
+    A tagger failure fails the whole chunk: it is reported as one failed
+    record spanning the chunk, and no session of it is processed.
+    """
     if tagger is None:
         tagger = ActivityTagger(gap_steps=config.gap_steps)
-    extraction: ExtractionResult = extract_sessions(tag_stream(chunk, tagger))
+    try:
+        tags = tag_stream(chunk, tagger)
+    except Exception as exc:  # noqa: BLE001 - the chunk's fault boundary
+        logger.warning(
+            "chunk [%d, %d) tagging failed: %s", chunk.start_step, chunk.end_step, exc,
+            exc_info=True,
+        )
+        failed = SessionRecord(
+            chunk.start_step,
+            chunk.end_step - 1,
+            "failed",
+            reason=str(exc),
+            error_type=type(exc).__name__,
+        )
+        return CycleReport(chunk.start_step, chunk.end_step, (failed,), ())
+    extraction: ExtractionResult = extract_sessions(tags)
 
     records: list[SessionRecord] = []
     for span in extraction.spans:

@@ -6,12 +6,26 @@ separate lines, closed by ``<answer>``. Relation words drive a BM25 pass over
 neighbor memory documents; keyword words rerank the survivors by embedding
 distance. The final top-k is cut greedily under a fixed token budget so the
 result always fits the retrieval context window.
+
+A DocumentIndex caches, for one run, what queries derive from the store. The
+documents of the current user and their BM25 statistics (token counts,
+average length, and per-term postings) are built once per store version: any
+store write bumps ``store_version`` and drops every cached corpus. Text
+embeddings are cached by document text for the life of the index, since a
+run has one encoder and the text holds everything an embedding depends on.
+The keyword rerank hands the encoder the joined keywords plus only the
+uncached document texts, once each, in one batch; the backend adapter sends
+them as ``texts`` envelopes of at most 64 texts (``TEXTS_PER_ENVELOPE`` in
+``backends``). Scores and orders are those of a per-document loop: BM25 sums
+in query-term order over the documents in its terms' postings, and cosine
+distances are taken per pair.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
@@ -32,7 +46,7 @@ DEFAULT_TOP_K = 5
 _WORD_RE = re.compile(r"\w+")
 _FORBIDDEN_IN_WORDS = (",", "\n", QUERY_OPEN, QUERY_CLOSE)
 
-TextEncoder = Callable[[str], Embedding]
+TextEncoder = Callable[[Sequence[str]], Sequence[Embedding]]
 
 
 class RetrievalError(Exception):
@@ -44,11 +58,10 @@ class MalformedQueryError(RetrievalError):
 
 
 class EncoderFailure(RetrievalError):
-    """The text encoder backend failed while embedding a document."""
+    """The text encoder failed, or returned a wrong number of embeddings.
 
-    def __init__(self, message: str, document_text: str | None = None):
-        super().__init__(message)
-        self.document_text = document_text
+    Backend errors are not wrapped: they reach the caller as they are.
+    """
 
 
 @dataclass(frozen=True)
@@ -183,41 +196,105 @@ def build_documents(store: "MemoryStore", current_user: str) -> list[RetrievalDo
     return docs
 
 
+class Corpus:
+    """Documents with the BM25 statistics of their tokens.
+
+    ``postings`` maps each term to its (document index, term frequency)
+    pairs in ascending document order; ``lengths`` holds each document's
+    token count.
+    """
+
+    __slots__ = ("documents", "lengths", "postings", "avgdl")
+
+    def __init__(self, documents: Sequence[RetrievalDocument]):
+        self.documents = list(documents)
+        self.lengths: list[int] = []
+        self.postings: dict[str, list[tuple[int, int]]] = {}
+        for index, doc in enumerate(self.documents):
+            tokens = tokenize(doc.text)
+            self.lengths.append(len(tokens))
+            for term, tf in Counter(tokens).items():
+                self.postings.setdefault(term, []).append((index, tf))
+        self.avgdl = sum(self.lengths) / len(self.lengths) if self.lengths else 0.0
+
+    def __len__(self) -> int:
+        return len(self.documents)
+
+
+_EMPTY_CORPUS = Corpus(())
+
+
+class DocumentIndex:
+    """What retrieval derives from a store, cached for one run.
+
+    Corpora are kept per current user for one (store, store_version); a new
+    store object or version drops them all. A user with no documents gets
+    the shared empty corpus and nothing is kept for them. ``embeddings``
+    maps document text to its text embedding and is never dropped.
+    """
+
+    __slots__ = ("_store", "_version", "_corpora", "embeddings")
+
+    def __init__(self) -> None:
+        self._store: MemoryStore | None = None
+        self._version = -1
+        self._corpora: dict[str, Corpus] = {}
+        self.embeddings: dict[str, Embedding] = {}
+
+    def corpus(self, store: "MemoryStore", current_user: str) -> Corpus:
+        corpus = self._corpora.get(current_user)
+        if corpus is not None and self._holds(store):
+            return corpus
+        documents = build_documents(store, current_user)
+        if not documents:  # keep nothing and read no version for such a user
+            return _EMPTY_CORPUS
+        if not self._holds(store):
+            self._store, self._version = store, store.store_version
+            self._corpora.clear()
+        corpus = self._corpora[current_user] = Corpus(documents)
+        return corpus
+
+    def _holds(self, store: "MemoryStore") -> bool:
+        """Whether the kept corpora are of this store at its current version."""
+        return store is self._store and store.store_version == self._version
+
+
 def bm25_rank(
-    query_words: Sequence[str], documents: Sequence[RetrievalDocument]
+    query_words: Sequence[str], documents: Sequence[RetrievalDocument] | Corpus
 ) -> list[ScoredDocument]:
     """Okapi BM25 with k1=1.2, b=0.75 and +1-smoothed idf.
 
     Documents scoring zero are dropped. Ties keep document order (stable sort
-    on descending score).
+    on descending score). Only documents in the query terms' postings are
+    scored, in document order, each summing its terms in query order.
     """
     if not query_words:
         raise RetrievalError("bm25_rank needs at least one query word")
-    if not documents:
+    corpus = documents if isinstance(documents, Corpus) else Corpus(documents)
+    avgdl = corpus.avgdl
+    if avgdl == 0:  # no documents, or none holding a token
         return []
-    doc_tokens = [tokenize(d.text) for d in documents]
-    n_docs = len(documents)
-    avgdl = sum(len(toks) for toks in doc_tokens) / n_docs
-    if avgdl == 0:
-        return []
+    n_docs = len(corpus)
 
     query_terms = [w.lower() for w in query_words]
-    df: dict[str, int] = {}
-    for term in set(query_terms):
-        df[term] = sum(1 for toks in doc_tokens if term in toks)
+    tfs = {term: dict(corpus.postings.get(term, ())) for term in dict.fromkeys(query_terms)}
+    idf = {
+        term: math.log(1.0 + (n_docs - len(tf) + 0.5) / (len(tf) + 0.5))
+        for term, tf in tfs.items()
+    }
 
     scored: list[ScoredDocument] = []
-    for doc, toks in zip(documents, doc_tokens):
+    for index in sorted(set().union(*tfs.values())):
         score = 0.0
-        dl = len(toks)
+        dl = corpus.lengths[index]
         for term in query_terms:
-            tf = toks.count(term)
+            tf = tfs[term].get(index, 0)
             if tf == 0:
                 continue
-            idf = math.log(1.0 + (n_docs - df[term] + 0.5) / (df[term] + 0.5))
-            score += idf * tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl))
+            norm = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl)
+            score += idf[term] * tf * (BM25_K1 + 1.0) / norm
         if score > 0.0:
-            scored.append(ScoredDocument(doc, score))
+            scored.append(ScoredDocument(corpus.documents[index], score))
     scored.sort(key=lambda sd: -sd.score)  # stable: ties stay in document order
     return scored
 
@@ -226,29 +303,40 @@ def rerank_by_keywords(
     documents: Sequence[RetrievalDocument],
     keywords: Sequence[str],
     encoder: TextEncoder,
+    index: DocumentIndex | None = None,
 ) -> list[ScoredDocument]:
     """Order documents by ascending cosine distance to the joined keywords.
 
-    All keywords are concatenated into one query string and embedded once.
-    The sort is stable, so equal distances keep the incoming order. Scores on
-    the result are cosine similarities (descending).
+    All keywords are concatenated into one query string. The encoder gets
+    that string plus every document text the index has no embedding for,
+    once each, in one call; the index keeps the new embeddings only when the
+    whole call succeeds. The sort is stable, so equal distances keep the
+    incoming order. Scores on the result are cosine similarities
+    (descending).
     """
     if not keywords:
         raise RetrievalError("rerank_by_keywords needs at least one keyword")
-    query_text = " ".join(keywords)
+    cache = index.embeddings if index is not None else {}
+    missing = list(dict.fromkeys(doc.text for doc in documents if doc.text not in cache))
+    texts = [" ".join(keywords), *missing]
     try:
-        query_emb = encoder(query_text)
+        embeddings = encoder(texts)
     except Exception as exc:  # noqa: BLE001 - propagate with context
-        raise EncoderFailure(f"encoding keyword query failed: {exc}") from exc
-    ranked: list[tuple[float, int]] = []
-    for index, doc in enumerate(documents):
-        try:
-            doc_emb = encoder(doc.text)
-        except Exception as exc:  # noqa: BLE001
-            raise EncoderFailure(
-                f"encoding document failed: {exc}", document_text=doc.text
-            ) from exc
-        ranked.append((cosine_distance(query_emb, doc_emb), index))
+        from .backends import BackendError  # deferred: backends imports this module
+
+        if isinstance(exc, BackendError):
+            raise
+        raise EncoderFailure(f"text encoder failed: {exc}") from exc
+    if len(embeddings) != len(texts):
+        raise EncoderFailure(
+            f"text encoder returned {len(embeddings)} embeddings for {len(texts)} texts"
+        )
+    query_emb = embeddings[0]
+    cache.update(zip(missing, embeddings[1:]))
+    ranked = [
+        (cosine_distance(query_emb, cache[doc.text]), position)
+        for position, doc in enumerate(documents)
+    ]
     ranked.sort(key=lambda pair: pair[0])
     return [ScoredDocument(documents[i], 1.0 - dist) for dist, i in ranked]
 
@@ -260,6 +348,7 @@ def retrieve_topk(
     encoder: TextEncoder | None = None,
     k: int = DEFAULT_TOP_K,
     token_budget: int = DEFAULT_TOKEN_BUDGET,
+    index: DocumentIndex | None = None,
 ) -> RetrievalResult:
     """Two-stage retrieval: BM25 filter on relations, keyword rerank, then a
     greedy top-k prefix under the token budget.
@@ -267,22 +356,25 @@ def retrieve_topk(
     Empty relation group skips the BM25 stage (keywords rank all documents);
     empty keyword group returns the BM25 ranking as is; both groups empty
     yields an empty result. When the BM25 stage drops every document the
-    result is empty, keywords notwithstanding.
+    result is empty, keywords notwithstanding. Without an index, a fresh one
+    serves this one call.
     """
     if groups.empty:
         return RetrievalResult((), token_budget)
-    documents = build_documents(store, current_user)
+    if index is None:
+        index = DocumentIndex()
+    corpus = index.corpus(store, current_user)
+    candidates: list[ScoredDocument] = []
+    documents: Sequence[RetrievalDocument] = corpus.documents
     if groups.relations:
-        scored = bm25_rank(groups.relations, documents)
-        if not scored:
+        candidates = bm25_rank(groups.relations, corpus) if corpus.documents else []
+        if not candidates:
             return RetrievalResult((), token_budget)
-        candidates = scored
-    else:
-        candidates = [ScoredDocument(d, 0.0) for d in documents]
+        documents = [sd.document for sd in candidates]
     if groups.keywords:
         if encoder is None:
             raise RetrievalError("keyword rerank requires a text encoder")
-        candidates = rerank_by_keywords([sd.document for sd in candidates], groups.keywords, encoder)
+        candidates = rerank_by_keywords(documents, groups.keywords, encoder, index)
 
     chosen: list[ScoredDocument] = []
     used = 0

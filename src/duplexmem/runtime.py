@@ -25,6 +25,7 @@ from .backends import BackendError, BackendSuite
 from .pipeline import CycleConfig, CycleReport, run_management_cycle
 from .retrieval import (
     QUERY_CLOSE,
+    DocumentIndex,
     MalformedQueryError,
     RetrievalError,
     parse_query_protocol,
@@ -242,11 +243,13 @@ def handle_retrieval_request(
     window: ContextWindowState,
     k: int,
     step: int,
+    index: DocumentIndex | None = None,
 ) -> dict[str, Any]:
     """Answer one completed query marker and refresh the retrieval window.
 
     Returns the event record. Parse failures and encoder failures are
     reported, never raised; the window is left untouched in those cases.
+    The index carries documents and text embeddings from query to query.
     """
     base: dict[str, Any] = {"event": "retrieval", "step": step}
     try:
@@ -262,9 +265,10 @@ def handle_retrieval_request(
             groups,
             store,
             current_user,
-            encoder=backends.embed_text,
+            encoder=backends.embed_texts,
             k=k,
             token_budget=window.capacity,
+            index=index,
         )
     except RetrievalError as exc:
         return {**base, "status": "error", "reason": str(exc)}
@@ -427,6 +431,7 @@ def run_agent(
     events: list[dict[str, Any]] = []
     cycle_reports: list[CycleReport] = []
     state = _TrackerState()
+    index = DocumentIndex()
 
     monologue = bytearray()
     cycle_start = 0
@@ -461,6 +466,7 @@ def run_agent(
                 retrieval_window,
                 config.retrieval_top_k,
                 step,
+                index,
             )
             counters.queries_handled += 1
             if event.get("changed"):

@@ -11,6 +11,7 @@ import pytest
 from duplexmem.backends import (
     BACKEND_KINDS,
     TEXT_EMBED_DIM,
+    TEXTS_PER_ENVELOPE,
     BackendClient,
     BackendSchemaError,
     BackendTimeoutError,
@@ -646,7 +647,7 @@ class TestHttpSuite:
         addresses = {kind: "http://unused" for kind in BACKEND_KINDS if kind != "text_encoder"}
         env = {"DUPLEXMEM_TEXT_ENCODER_ADDR": http_server}
         suite = http_suite(addresses=addresses, env=env)
-        emb = suite.embed_text("hello")
+        (emb,) = suite.embed_texts(["hello"])
         assert emb.modality == "text"
         assert emb.values[-1] == 1.0
 
@@ -654,7 +655,7 @@ class TestHttpSuite:
         addresses = {kind: http_server for kind in BACKEND_KINDS}
         env = {"DUPLEXMEM_TEXT_ENCODER_ADDR": "http://127.0.0.1:9"}
         suite = http_suite(addresses=addresses, env=env)
-        assert suite.embed_text("hello").dim == TEXT_EMBED_DIM
+        assert [emb.dim for emb in suite.embed_texts(["hello"])] == [TEXT_EMBED_DIM]
 
 
 class TestMockSuite:
@@ -664,9 +665,56 @@ class TestMockSuite:
 
     def test_embed_text_adapter(self):
         suite = self.make()
-        emb = suite.embed_text("tennis game")
+        (emb,) = suite.embed_texts(["tennis game"])
         assert emb.modality == "text"
         assert np.allclose(emb.values, MockTextEncoderService.embed_vector("tennis game"))
+
+    def test_embed_texts_sends_capped_envelopes_in_order(self):
+        sent = []
+
+        def wrap(transport):
+            class Recording:
+                def send(self, kind, envelope):
+                    sent.append(list(envelope["body"].get("texts", ())))
+                    return transport.send(kind, envelope)
+
+            return Recording()
+
+        suite = self.make(wrap_transport=wrap)
+        texts = [f"text number {i}" for i in range(2 * TEXTS_PER_ENVELOPE + 2)]
+        embeddings = suite.embed_texts(texts)
+        assert TEXTS_PER_ENVELOPE == 64
+        assert [len(batch) for batch in sent] == [64, 64, 2]
+        assert [t for batch in sent for t in batch] == texts
+        for text, emb in zip(texts, embeddings, strict=True):
+            assert np.array_equal(emb.values, MockTextEncoderService.embed_vector(text))
+        sent.clear()
+        assert suite.embed_texts([]) == [] and sent == []
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            [[0.5] * TEXT_EMBED_DIM],  # one embedding for two texts
+            [[0.5] * TEXT_EMBED_DIM] * 3,  # three for two
+            [[0.5] * TEXT_EMBED_DIM, [0.0] * TEXT_EMBED_DIM],  # zero norm
+            [[0.5] * TEXT_EMBED_DIM, [1e39] + [0.5] * (TEXT_EMBED_DIM - 1)],  # beyond float32
+        ],
+        ids=["fewer", "more", "zero", "beyond_float32"],
+    )
+    def test_embed_texts_rejects_unusable_replies(self, reply):
+        def wrap(transport):
+            class Replacing:
+                def send(self, kind, envelope):
+                    response = transport.send(kind, envelope)
+                    if kind != "text_encoder":
+                        return response
+                    return {**response, "body": {"embeddings": reply}}
+
+            return Replacing()
+
+        suite = self.make(wrap_transport=wrap)
+        with pytest.raises(BackendSchemaError):
+            suite.embed_texts(["tennis", "golf"])
 
     def test_encode_av_adapter(self):
         suite = self.make()

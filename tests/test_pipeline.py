@@ -467,3 +467,28 @@ class TestTaggerIntegration:
         assert split_report.records[0].action == "created"
         assert split_report.records[1].action in ("updated", "unchanged")
         assert split_store.user_ids == ("user_0001",)
+
+    @staticmethod
+    def raising_tagger(tokens):
+        raise RuntimeError("tagger host down")
+
+    @pytest.mark.parametrize(
+        "tagger, reason",
+        [
+            (raising_tagger, "tagging backend failed: tagger host down"),
+            (lambda tokens: np.zeros(3, dtype=np.uint8), "backend returned shape (3,)"),
+        ],
+        ids=["raises", "wrong_shape"],
+    )
+    def test_tagger_failure_fails_the_chunk(self, tagger, reason):
+        built, rows = build_fixture([emily_dialog()])
+        chunk = built.stream.segment(40, len(built.stream))
+        store = MemoryStore()
+        report = run_management_cycle(chunk, store, make_suite(rows), CONFIG, tagger=tagger)
+        (record,) = report.records
+        assert (record.start_step, record.end_step) == (40, len(built.stream) - 1)
+        assert (record.action, record.error_type) == ("failed", "TaggerBackendError")
+        assert record.reason.startswith(reason)
+        assert (report.chunk_start, report.chunk_end, report.repairs) == (
+            40, len(built.stream), ())
+        assert store.user_ids == () and store.store_version == 0

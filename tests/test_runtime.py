@@ -510,6 +510,39 @@ class TestRunAgent:
             ("failed", "BackendSchemaError"),
         ]
 
+    def test_short_text_reply_fails_one_query_and_caches_nothing(self):
+        """A batched text reply missing one embedding fails its query only."""
+        built, stream, rows = build_fixture([emily_dialog(turns=3, groups=GROUPS)])
+        sent = []
+
+        class DroppingTransport:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def send(self, kind, envelope):
+                response = self.inner.send(kind, envelope)
+                if kind != "text_encoder":
+                    return response
+                sent.append(envelope["body"]["texts"])
+                if len(sent) > 1:
+                    return response
+                body = response["body"]
+                return {**response, "body": {"embeddings": body["embeddings"][:-1]}}
+
+        suite = mock_suite(ROSTER, utterances=rows, wrap_transport=DroppingTransport)
+        result = run_agent(stream, emily_store(), suite, AgentConfig(), timestamp="t")
+
+        events = [e for e in result.events if e["event"] == "retrieval"]
+        assert [e["status"] for e in events] == ["error", "ok", "ok"]
+        assert events[0]["reason"].startswith("backend: ")
+        assert "1 embeddings for 2 texts" in events[0]["reason"]
+        assert events[1]["documents"] == 1
+        assert "tennis" in result.retrieval_window.content
+        fact = "John, colleague, 2024-05-01, plays tennis on sunday"
+        # nothing was cached from the failed query, so the next one sends the
+        # document again; the third finds it cached and sends the keywords only
+        assert sent == [["tennis", fact], ["tennis", fact], ["tennis"]]
+
     @pytest.mark.parametrize("field", ["face_delta", "speaker_theta"])
     def test_cycle_thresholds_must_match_the_agent(self, field):
         built, stream, rows = build_fixture([emily_dialog()])
