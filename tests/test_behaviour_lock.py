@@ -4,6 +4,10 @@ A refactor that must not change behaviour keeps every digest below. A change
 that alters output on purpose updates the affected digests and names them in
 CHANGES.md. To print the current digests, run this file as a script from the
 repository root: ``PYTHONPATH=src python tests/test_behaviour_lock.py``.
+
+``CODEC_DIGESTS`` pins the FDTS bytes ``serialize_stream`` writes: every day
+stream of five 21-day scenarios, and one stream whose ids sit on each varint
+length boundary.
 """
 
 from __future__ import annotations
@@ -16,9 +20,12 @@ import os
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 from duplexmem import cli
+from duplexmem.harness import ScenarioSpec, build_day_stream, synth_scenario
+from duplexmem.stream import CHANNELS, DIALOG_START, TokenStream, parse_stream, serialize_stream
 
 # Persist under this relative directory: the audit log records the persist
 # path, so an absolute temporary path would change the store bytes.
@@ -113,6 +120,47 @@ DIGESTS: dict[str, dict[str, str]] = {
 }
 
 
+# Ids on both sides of each varint length boundary, up to the largest id.
+BOUNDARY_IDS = (
+    0, 1, 127, 128, 2**14 - 1, 2**14, 2**21 - 1, 2**21, 2**28 - 1, 2**28, 2**31 - 1,
+)
+
+CODEC_DIGESTS: dict[str, str] = {
+    "scenario days --seed 0": "cc6d616819d996b2a28f35ad8cb90b49e6071e84a949d28e6da0a0fbb68226dd",
+    "scenario days --seed 1": "0c150a8107902f15f5b45075e38ca789872906e32111d1d18432568e8dd21e83",
+    "scenario days --seed 2": "64156199ac4e20793aa9067c8b9423313722b7202f2baf23ecccbb42124c1cb6",
+    "scenario days --seed 3": "740f69bdd25f2eb8aadc7550124577562bb25064677c27e89aaadbed3720f38a",
+    "scenario days --seed 4": "6d76bf6262614292a3f7312b35545bbd8108ba4b9a482f5b524ac7de2b70b032",
+    "varint boundaries": "d3a65b505691107419438227bbdc7b524b481a784a5444c70ca2101e9b562ef4",
+}
+
+
+def codec_streams(case: str) -> list[TokenStream]:
+    if case == "varint boundaries":
+        tokens = np.zeros((DIALOG_START + len(BOUNDARY_IDS), CHANNELS), dtype=np.int32)
+        for row, value in enumerate(BOUNDARY_IDS):
+            # each id on the text channel and on one audio slot, beside a 1-byte id
+            tokens[DIALOG_START + row, 0] = value
+            tokens[DIALOG_START + row, 1 + row % (CHANNELS - 1)] = value
+            tokens[DIALOG_START + row, CHANNELS - 1 - row % (CHANNELS - 1)] = 7
+        return [TokenStream(tokens)]
+    seed = int(case.split()[-1])
+    scenario = synth_scenario(ScenarioSpec(seed=seed, n_days=21))
+    return [build_day_stream(scenario, d).stream for d in range(len(scenario.days))]
+
+
+CODEC_CASES = [f"scenario days --seed {n}" for n in range(5)] + ["varint boundaries"]
+
+
+def codec_digest(case: str) -> str:
+    digest = hashlib.sha256()
+    for stream in codec_streams(case):
+        data = serialize_stream(stream)
+        assert parse_stream(data) == stream
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -137,6 +185,11 @@ def test_output_digests_are_unchanged(case, tmp_path, monkeypatch):
     assert run_digests(CASES[case]) == DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", CODEC_CASES)
+def test_codec_bytes_are_unchanged(case):
+    assert codec_digest(case) == CODEC_DIGESTS[case]
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
@@ -150,3 +203,6 @@ if __name__ == "__main__":
         for name, digest in digests.items():
             sys.stdout.write(f"        {json.dumps(name)}: {json.dumps(digest)},\n")
         sys.stdout.write("    },\n")
+    sys.stdout.write("\n")
+    for case in CODEC_CASES:
+        sys.stdout.write(f"    {json.dumps(case)}: {json.dumps(codec_digest(case))},\n")
