@@ -436,8 +436,7 @@ def run_agent(
     monologue = bytearray()
     cycle_start = 0
 
-    for step in range(len(stream)):
-        text_token = int(stream.tokens[step, 0])
+    for step, text_token in enumerate(stream.tokens[:, 0].tolist()):
         query_closed = False
         if text_token > 0:
             monologue.append(text_token - 1)

@@ -14,10 +14,10 @@ tagger and the verification mocks key on.
 
 from __future__ import annotations
 
-import io
 import struct
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Literal, Mapping, Sequence
+from typing import Any, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +43,10 @@ MONOLOGUE_LEAD_STEPS = 2
 STREAM_MAGIC = b"FDTS"
 STREAM_VERSION = 1
 _HEADER = struct.Struct("<4sHIIIIII")  # magic, version, length, l1 bounds, l2 bounds, rate*100
+MAX_TOKEN_ID = 2**31 - 1
+# An id takes one more varint byte for each of these bounds it reaches.
+_VARINT_BOUNDS = np.array([1 << 7, 1 << 14, 1 << 21, 1 << 28], dtype=np.uint32)
+_VARINT_MAX_BYTES = 5  # enough for MAX_TOKEN_ID
 
 
 class StreamError(Exception):
@@ -74,11 +78,6 @@ def encode_text(text: str) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).astype(np.int32) + 1
 
 
-def decode_text(ids: Iterable[int]) -> str:
-    data = bytes(int(i) - 1 for i in ids if int(i) != TEXT_PAD)
-    return data.decode("utf-8", errors="replace")
-
-
 @dataclass(frozen=True)
 class StreamSegment:
     """A contiguous view of stream steps with its absolute start offset."""
@@ -99,19 +98,13 @@ class StreamSegment:
     def end_step(self) -> int:
         return self.start_step + len(self)
 
-    def user_markers(self) -> np.ndarray:
-        """Per-step speaker marker (0 where no user utterance is present)."""
-        semantic = self.tokens[:, 1]
-        return np.where(semantic >= SPEAKER_MARKER_BASE, semantic, 0)
-
     def dominant_marker(self) -> int | None:
-        markers = self.user_markers()
-        markers = markers[markers > 0]
-        if markers.size == 0:
+        """The most frequent speaker marker in listen slot 1, ties toward the
+        smaller id; None when no step carries a user utterance."""
+        counts = Counter(m for m in self.tokens[:, 1].tolist() if m >= SPEAKER_MARKER_BASE)
+        if not counts:
             return None
-        values, counts = np.unique(markers, return_counts=True)
-        # most frequent marker; ties break toward the smaller id
-        return int(values[np.argmax(counts)])
+        return min(counts, key=lambda m: (-counts[m], m))
 
 
 @dataclass(frozen=True)
@@ -475,38 +468,38 @@ def make_supervision_masks(
     raise MaskBuildError(f"unknown mask task {task!r}")
 
 
-def _write_varint(buf: io.BytesIO, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.write(bytes((byte | 0x80,)))
-        else:
-            buf.write(bytes((byte,)))
-            return
-
-
 def serialize_stream(stream: TokenStream) -> bytes:
-    """Header plus one unsigned varint per token id, row-major."""
-    buf = io.BytesIO()
-    buf.write(
-        _HEADER.pack(
-            STREAM_MAGIC,
-            STREAM_VERSION,
-            len(stream),
-            stream.profile_region[0],
-            stream.profile_region[1],
-            stream.retrieval_region[0],
-            stream.retrieval_region[1],
-            int(round(stream.frame_rate * 100)),
-        )
+    """Header plus one unsigned LEB128 varint per token id, row-major."""
+    header = _HEADER.pack(
+        STREAM_MAGIC,
+        STREAM_VERSION,
+        len(stream),
+        stream.profile_region[0],
+        stream.profile_region[1],
+        stream.retrieval_region[0],
+        stream.retrieval_region[1],
+        int(round(stream.frame_rate * 100)),
     )
-    for value in stream.tokens.ravel():
-        _write_varint(buf, int(value))
-    return buf.getvalue()
+    ids = stream.tokens.ravel().view(np.uint32)  # ids are non-negative int32
+    extra = (ids >= _VARINT_BOUNDS[0]).view(np.uint8)  # bytes after each id's first
+    if not extra.any():
+        return header + ids.astype(np.uint8).tobytes()
+    for bound in _VARINT_BOUNDS[1:]:
+        extra += (ids >= bound).view(np.uint8)
+    starts = np.cumsum(extra, dtype=np.intp)
+    starts -= extra
+    starts += np.arange(ids.size)
+    body = np.empty(int(starts[-1]) + int(extra[-1]) + 1, dtype=np.uint8)
+    body[starts] = (ids & 0x7F).astype(np.uint8) | ((extra > 0).view(np.uint8) << 7)
+    for k in range(1, int(extra.max()) + 1):
+        at = np.flatnonzero(extra >= k)
+        plane = ((ids[at] >> (7 * k)) & 0x7F).astype(np.uint8)
+        body[starts[at] + k] = plane | ((extra[at] > k).view(np.uint8) << 7)
+    return header + body.tobytes()
 
 
 def parse_stream(data: bytes) -> TokenStream:
+    """Read serialize_stream bytes back; ids above MAX_TOKEN_ID are rejected."""
     if len(data) < _HEADER.size:
         raise StreamHeaderError("stream header is truncated")
     magic, version, length, l1a, l1b, l2a, l2b, rate100 = _HEADER.unpack_from(data)
@@ -519,32 +512,50 @@ def parse_stream(data: bytes) -> TokenStream:
     if length > MAX_STREAM_STEPS:
         raise StreamHeaderError(f"declared length {length} exceeds the {MAX_STREAM_STEPS} cap")
 
-    values = np.zeros(length * CHANNELS, dtype=np.int64)
-    pos = _HEADER.size
-    for i in range(values.shape[0]):
-        shift = 0
-        value = 0
-        while True:
-            if pos >= len(data):
-                raise StreamLengthError(
-                    f"stream body ended after {i} of {values.shape[0]} token ids"
-                )
-            byte = data[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        values[i] = value
-    if pos != len(data):
-        raise StreamLengthError(f"{len(data) - pos} trailing bytes after the declared steps")
-    tokens = values.reshape(length, CHANNELS).astype(np.int32)
+    count = length * CHANNELS
+    body = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
+    ends = np.flatnonzero(body < 0x80)  # last byte of each id
+    if ends.size < count:
+        raise StreamLengthError(f"stream body ended after {ends.size} of {count} token ids")
+    used = int(ends[count - 1]) + 1 if count else 0
+    if used != body.size:
+        raise StreamLengthError(f"{body.size - used} trailing bytes after the declared steps")
+
+    if body.size == count:
+        values = body.astype(np.int32)
+    else:
+        values = _decode_varints(body, ends)
     try:
-        return TokenStream(tokens, (l1a, l1b), (l2a, l2b), rate100 / 100.0)
+        return TokenStream(values.reshape(length, CHANNELS), (l1a, l1b), (l2a, l2b), rate100 / 100.0)
     except RegionOverlapError:
         raise
     except StreamError as exc:
         raise StreamHeaderError(str(exc)) from exc
+
+
+def _decode_varints(body: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Ids of a well-framed body holding some multi-byte varints, as int32."""
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    extra = ends - starts  # bytes after each id's first
+    payload = body & 0x7F
+    values = payload[starts].astype(np.int64)
+    for k in range(1, min(int(extra.max()), _VARINT_MAX_BYTES - 1) + 1):
+        at = np.flatnonzero(extra >= k)
+        values[at] |= payload[starts[at] + k].astype(np.int64) << (7 * k)
+    over = values > MAX_TOKEN_ID
+    if extra.max() >= _VARINT_MAX_BYTES:
+        # over-long encodings are fine as long as the extra bytes carry no payload
+        offsets = np.arange(body.size) - np.repeat(starts, extra + 1)
+        high = np.flatnonzero((offsets >= _VARINT_MAX_BYTES) & (payload != 0))
+        over[np.searchsorted(ends, high)] = True
+    if over.any():
+        first = int(np.argmax(over))
+        raise StreamHeaderError(
+            f"token id {first} of {ends.size} is above the largest id {MAX_TOKEN_ID}"
+        )
+    return values.astype(np.int32)
 
 
 def _groups_to_json(groups: QueryGroups | None) -> dict[str, list[str]] | None:

@@ -1,5 +1,6 @@
 """Layout, mask, and serialization behavior of the 17-channel stream builder."""
 
+import io
 import json
 
 import numpy as np
@@ -13,7 +14,11 @@ from duplexmem.stream import (
     CHANNELS,
     DIALOG_START,
     MAX_STREAM_STEPS,
+    MAX_TOKEN_ID,
     MONOLOGUE_LEAD_STEPS,
+    STREAM_MAGIC,
+    STREAM_VERSION,
+    TEXT_PAD,
     DialogScript,
     MaskBuildError,
     RegionOverlapError,
@@ -26,7 +31,6 @@ from duplexmem.stream import (
     TurnScript,
     assign_speaker_markers,
     build_stream,
-    decode_text,
     dialog_from_record,
     dialog_to_record,
     encode_text,
@@ -34,8 +38,15 @@ from duplexmem.stream import (
     parse_stream,
     serialize_stream,
 )
+from duplexmem.stream import _HEADER
 
 GROUPS = QueryGroups(("a",), ("b",))
+
+
+def decode_text(ids) -> str:
+    """Inverse of encode_text: drop pads, map id b+1 back to byte b."""
+    data = bytes(int(i) - 1 for i in ids if int(i) != TEXT_PAD)
+    return data.decode("utf-8", errors="replace")
 
 
 def make_turn(speaker, instr=20, resp=15, text="fine by me", groups=None):
@@ -146,14 +157,13 @@ class TestSegmentViews:
         stream = TokenStream(tokens)
         assert stream.segment(768, 800).dominant_marker() == 3
 
-    def test_user_markers_ignore_assistant_voice(self):
+    def test_dominant_marker_ignores_assistant_voice(self):
         tokens = np.zeros((800, CHANNELS), dtype=np.int32)
-        tokens[770, 1] = ASSISTANT_VOICE
-        tokens[771, 1] = 4
+        tokens[770:775, 1] = ASSISTANT_VOICE
+        tokens[775, 1] = 4
         seg = TokenStream(tokens).segment(768, 800)
-        markers = seg.user_markers()
-        assert markers[2] == 0 and markers[3] == 4
         assert seg.dominant_marker() == 4
+        assert TokenStream(tokens).segment(770, 775).dominant_marker() is None
 
     def test_empty_segment_has_no_audio(self):
         stream = TokenStream(np.zeros((800, CHANNELS), dtype=np.int32))
@@ -511,6 +521,246 @@ class TestSerialization:
         values[5 * CHANNELS + 3] = 1
         with pytest.raises(StreamHeaderError):
             parse_stream(header + bytes(values))
+
+
+# The pure-Python FDTS codec the numpy one replaced, kept as the reference.
+def ref_write_varint(buf: io.BytesIO, value: int) -> None:
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            buf.write(bytes((byte | 0x80,)))
+        else:
+            buf.write(bytes((byte,)))
+            return
+
+
+def ref_serialize_stream(stream: TokenStream) -> bytes:
+    """Header plus one unsigned varint per token id, row-major."""
+    buf = io.BytesIO()
+    buf.write(
+        _HEADER.pack(
+            STREAM_MAGIC,
+            STREAM_VERSION,
+            len(stream),
+            stream.profile_region[0],
+            stream.profile_region[1],
+            stream.retrieval_region[0],
+            stream.retrieval_region[1],
+            int(round(stream.frame_rate * 100)),
+        )
+    )
+    for value in stream.tokens.ravel():
+        ref_write_varint(buf, int(value))
+    return buf.getvalue()
+
+
+def ref_parse_stream(data: bytes) -> TokenStream:
+    if len(data) < _HEADER.size:
+        raise StreamHeaderError("stream header is truncated")
+    magic, version, length, l1a, l1b, l2a, l2b, rate100 = _HEADER.unpack_from(data)
+    if magic != STREAM_MAGIC:
+        raise StreamHeaderError(f"bad magic {magic!r}")
+    if version != STREAM_VERSION:
+        raise StreamHeaderError(f"unsupported stream format version {version}")
+    if not (0 <= l1a <= l1b <= l2a <= l2b):
+        raise RegionOverlapError(f"reserved regions out of order: ({l1a}, {l1b}) vs ({l2a}, {l2b})")
+    if length > MAX_STREAM_STEPS:
+        raise StreamHeaderError(f"declared length {length} exceeds the {MAX_STREAM_STEPS} cap")
+
+    values = np.zeros(length * CHANNELS, dtype=np.int64)
+    pos = _HEADER.size
+    for i in range(values.shape[0]):
+        shift = 0
+        value = 0
+        while True:
+            if pos >= len(data):
+                raise StreamLengthError(
+                    f"stream body ended after {i} of {values.shape[0]} token ids"
+                )
+            byte = data[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                break
+            shift += 7
+        values[i] = value
+    if pos != len(data):
+        raise StreamLengthError(f"{len(data) - pos} trailing bytes after the declared steps")
+    tokens = values.reshape(length, CHANNELS).astype(np.int32)
+    try:
+        return TokenStream(tokens, (l1a, l1b), (l2a, l2b), rate100 / 100.0)
+    except RegionOverlapError:
+        raise
+    except StreamError as exc:
+        raise StreamHeaderError(str(exc)) from exc
+
+
+def outcome(parse, data: bytes):
+    """The parsed stream, or the (type, message) of the exception raised."""
+    try:
+        return parse(data)
+    except Exception as exc:  # noqa: BLE001 - the reference may raise OverflowError
+        return type(exc), str(exc)
+
+
+def body_ids(data: bytes) -> list[int]:
+    """Unbounded values of the complete varints after the header."""
+    values, value, shift = [], 0, 0
+    for byte in data[_HEADER.size:]:
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        if not byte & 0x80:
+            values.append(value)
+            value = shift = 0
+    return values
+
+
+def assert_parses_like_reference(data: bytes) -> None:
+    """Same stream or same exception as the reference, except for ids above
+    MAX_TOKEN_ID: the reference wraps those to int32 (or reports them as
+    negative, or fails with OverflowError), where the codec raises
+    StreamHeaderError once the body is well framed."""
+    got, want = outcome(parse_stream, data), outcome(ref_parse_stream, data)
+    count = _HEADER.unpack_from(data)[2] * CHANNELS if len(data) >= _HEADER.size else 0
+    ids = body_ids(data)
+    if not any(v > MAX_TOKEN_ID for v in ids[:count]):
+        assert got == want
+        return
+    well_framed = len(ids) == count and data[-1] < 0x80
+    if not well_framed:
+        # the reference stops at the framing fault or at an id past int64 first
+        assert got[0] is StreamLengthError
+        assert got == want or want[0] is OverflowError
+    else:
+        assert got[0] is StreamHeaderError and "above the largest id" in got[1]
+
+
+ID_VALUES = st.one_of(
+    st.integers(0, 127),
+    st.integers(0, 300),
+    st.integers(0, MAX_TOKEN_ID),
+    st.sampled_from([127, 128, 2**14 - 1, 2**14, 2**21 - 1, 2**21, 2**28 - 1, 2**28, MAX_TOKEN_ID]),
+)
+
+
+@st.composite
+def token_streams(draw, max_rows=6):
+    """Small grids with short reserved regions; audio is empty inside them."""
+    rows = draw(st.integers(0, max_rows))
+    cuts = sorted(draw(st.lists(st.integers(0, rows), min_size=4, max_size=4)))
+    narrow = draw(st.booleans())  # mostly one-byte ids, like recorded days
+    values = draw(
+        st.lists(st.integers(0, 255) if narrow else ID_VALUES,
+                 min_size=rows * CHANNELS, max_size=rows * CHANNELS)
+    )
+    tokens = np.array(values, dtype=np.int64).reshape(rows, CHANNELS).astype(np.int32)
+    tokens[:cuts[3], 1:] = 0
+    rate = draw(st.sampled_from([12.5, 25.0, 0.0]))
+    return TokenStream(tokens, (cuts[0], cuts[1]), (cuts[2], cuts[3]), rate)
+
+
+def one_row_stream(varint: bytes) -> bytes:
+    """A one-step stream with no reserved steps whose text id is `varint`."""
+    header = _HEADER.pack(STREAM_MAGIC, STREAM_VERSION, 1, 0, 0, 0, 0, 1250)
+    return header + varint + b"\x00" * (CHANNELS - 1)
+
+
+def varint_bytes(value: int) -> bytes:
+    buf = io.BytesIO()
+    ref_write_varint(buf, value)
+    return buf.getvalue()
+
+
+class TestCodecMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(stream=token_streams(max_rows=10))
+    def test_bytes_and_round_trip(self, stream):
+        data = serialize_stream(stream)
+        assert data == ref_serialize_stream(stream)
+        assert parse_stream(data) == ref_parse_stream(data) == stream
+
+    @settings(max_examples=40, deadline=None)
+    @given(stream=token_streams())
+    def test_truncated_at_each_byte(self, stream):
+        data = serialize_stream(stream)
+        for cut in range(len(data)):
+            assert_parses_like_reference(data[:cut])
+
+    @settings(max_examples=80, deadline=None)
+    @given(stream=token_streams(), extra=st.binary(min_size=1, max_size=12))
+    def test_trailing_bytes(self, stream, extra):
+        assert_parses_like_reference(serialize_stream(stream) + extra)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stream=token_streams(), data=st.data())
+    def test_flipped_continuation_bits(self, stream, data):
+        blob = bytearray(serialize_stream(stream))
+        if len(blob) == _HEADER.size:
+            return
+        flips = data.draw(st.lists(st.integers(_HEADER.size, len(blob) - 1), min_size=1, max_size=4))
+        for pos in flips:
+            blob[pos] ^= 0x80
+        assert_parses_like_reference(bytes(blob))
+
+    @settings(max_examples=50, deadline=None)
+    @given(stream=token_streams(), data=st.data())
+    def test_over_long_encodings(self, stream, data):
+        """Padding an id with continuation bytes of zero payload keeps its value."""
+        body = []
+        for value in stream.tokens.ravel().tolist():
+            pad = data.draw(st.sampled_from([0, 0, 0, 1, 3, 6]))
+            encoded = bytearray(varint_bytes(value))
+            if pad:
+                encoded[-1] |= 0x80
+                encoded += b"\x80" * (pad - 1) + b"\x00"
+            body.append(bytes(encoded))
+        blob = serialize_stream(stream)[:_HEADER.size] + b"".join(body)
+        assert_parses_like_reference(blob)
+        assert parse_stream(blob) == stream
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(0, 3),
+        slack=st.integers(-2, 2),
+        data=st.data(),
+    )
+    def test_arbitrary_varints(self, rows, slack, data):
+        """Bodies of any varint values, some of them past int32 or int64."""
+        count = max(0, rows * CHANNELS + slack)
+        values = data.draw(
+            st.lists(st.one_of(ID_VALUES, st.integers(0, 2**70)), min_size=count, max_size=count)
+        )
+        header = _HEADER.pack(STREAM_MAGIC, STREAM_VERSION, rows, 0, 0, 0, 0, 1250)
+        assert_parses_like_reference(header + b"".join(varint_bytes(v) for v in values))
+
+    def test_seven_byte_zero(self):
+        blob = one_row_stream(bytes.fromhex("80808080808000"))
+        assert parse_stream(blob) == ref_parse_stream(blob)
+        assert parse_stream(blob).tokens[0, 0] == 0
+
+
+class TestIdRange:
+    def test_largest_id_round_trips(self):
+        blob = one_row_stream(varint_bytes(MAX_TOKEN_ID))
+        assert parse_stream(blob).tokens[0, 0] == MAX_TOKEN_ID
+
+    @pytest.mark.parametrize("value", [2**31, 2**32 - 1, 2**32 + 5, 2**35, 2**63, 2**70])
+    def test_ids_above_range_rejected(self, value):
+        with pytest.raises(StreamHeaderError, match="above the largest id"):
+            parse_stream(one_row_stream(varint_bytes(value)))
+
+    def test_over_long_payload_above_range_rejected(self):
+        # seven bytes whose last one carries payload: the value is 2**42
+        with pytest.raises(StreamHeaderError, match="above the largest id"):
+            parse_stream(one_row_stream(bytes.fromhex("80808080808001")))
+
+    def test_error_names_the_first_bad_id(self):
+        header = _HEADER.pack(STREAM_MAGIC, STREAM_VERSION, 1, 0, 0, 0, 0, 1250)
+        ids = [0, 2**40, 0, 2**31] + [0] * (CHANNELS - 4)
+        blob = header + b"".join(varint_bytes(v) for v in ids)
+        with pytest.raises(StreamHeaderError, match=f"token id 1 of {CHANNELS} "):
+            parse_stream(blob)
 
 
 class TestDialogRecords:
