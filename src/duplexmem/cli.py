@@ -37,7 +37,7 @@ from .harness import (
     synth_scenario,
 )
 from .runtime import AgentConfig, config_from_mapping
-from .store import MemoryStore
+from .store import MemoryStore, StoreError
 
 EVAL_SUITES: Mapping[str, Callable[[int], MetricsTable]] = {
     "verification": lambda seed: eval_verification(seed=seed),
@@ -218,7 +218,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_store_inspect(args: argparse.Namespace) -> int:
     store = MemoryStore.load(args.dir)
     users = []
-    for user_id, _ in store.user_keys("face"):
+    for user_id in store.user_ids:
         profile = store.lookup_user(user_id)
         users.append(
             {
@@ -231,11 +231,7 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
                 "edges": len(profile.relation_edges),
             }
         )
-    payload = {
-        "users": users,
-        "aux_documents": len(store.aux_documents),
-        "audit_entries": len(store.audit_entries),
-    }
+    payload = {"users": users, "audit_entries": len(store.audit_entries)}
     if args.format == "machine":
         _emit(_machine(payload))
     else:
@@ -266,6 +262,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 event = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CliError(f"bad event line {total + 1}: {exc}") from exc
+            if not isinstance(event, dict):
+                raise CliError(f"bad event line {total + 1}: not a JSON object")
             total += 1
             kind = str(event.get("event", "unknown"))
             counts[kind] = counts.get(kind, 0) + 1
@@ -336,10 +334,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (CliError, FileNotFoundError, StoreError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

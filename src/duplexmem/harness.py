@@ -62,6 +62,8 @@ from .stream import (
 from .verification import (
     CohortSet,
     Embedding,
+    _asnorm,
+    _top_cohort_stats,
     compute_eer,
     pass_at_k,
 )
@@ -359,23 +361,19 @@ class ScenarioSpec:
     """Dials for synthesizing one scenario."""
 
     seed: int
-    name: str = ""
     neighbor_range: tuple[int, int] = (3, 5)
     n_days: int = 2
     dialogs_per_day: tuple[int, int] = (2, 3)
     turns_per_dialog: tuple[int, int] = (3, 5)
     facts_per_neighbor: tuple[int, int] = (2, 4)
-    query_every_turn: bool = True
-    noise_scale: float = 0.05
-    cohort_size: int = 250
-    start_day: int = 15  # day of month for the first simulated day
-
-    def scenario_name(self) -> str:
-        return self.name or f"scenario_{self.seed:04d}"
 
 
 def synth_scenario(spec: ScenarioSpec) -> Scenario:
-    """Deterministically generate a host, neighbors, memories, and dialogs."""
+    """Deterministically generate a host, neighbors, memories, and dialogs.
+
+    Days run from 2024-05-15 and every turn asks one retrieval query.
+    """
+    scenario_name = f"scenario_{spec.seed:04d}"
     rng = np.random.default_rng(stable_seed("scenario", spec.seed))
     n_neighbors = _draw(rng, spec.neighbor_range)
     if n_neighbors + 1 > len(FIRST_NAMES):
@@ -393,7 +391,7 @@ def synth_scenario(spec: ScenarioSpec) -> Scenario:
             seed=IdentitySeed(
                 identity_id=name.lower(),
                 vector_seed=stable_seed(spec.seed, "identity", name.lower()),
-                noise_scale=spec.noise_scale,
+                noise_scale=0.05,
             ),
         )
         for index, name in enumerate(names)
@@ -423,7 +421,7 @@ def synth_scenario(spec: ScenarioSpec) -> Scenario:
 
     days = []
     for d in range(spec.n_days):
-        timestamp = f"2024-05-{spec.start_day + d:02d}"
+        timestamp = f"2024-05-{15 + d:02d}"
         scripts = []
         for s in range(_draw(rng, spec.dialogs_per_day)):
             speaker = host if rng.random() < 0.7 else neighbors[int(rng.integers(n_neighbors))]
@@ -438,9 +436,6 @@ def synth_scenario(spec: ScenarioSpec) -> Scenario:
                 response = RESPONSE_TEMPLATES[
                     int(rng.integers(len(RESPONSE_TEMPLATES)))
                 ].format(topic=topic, relation=relation)
-                groups = (
-                    QueryGroups((relation,), (topic,)) if spec.query_every_turn else None
-                )
                 turns.append(
                     TurnScript(
                         speaker_user=speaker.identity_id,
@@ -448,14 +443,12 @@ def synth_scenario(spec: ScenarioSpec) -> Scenario:
                         response_text=response,
                         instruction_steps=_draw(rng, (44, 60)),
                         response_steps=_draw(rng, (34, 50)),
-                        query_groups=groups,
+                        query_groups=QueryGroups((relation,), (topic,)),
                     )
                 )
             annotation = {
                 "summary_sentences": [
                     f"{speaker.name} asked about {turns[0].query_groups.keywords[0]}"
-                    if turns[0].query_groups
-                    else f"{speaker.name} stopped by for a chat"
                 ],
                 "user_facts": [f"{speaker.name} {FACT_TEMPLATES[d % len(FACT_TEMPLATES)].format(word=next(words))}"],
                 "persona_trail": {},
@@ -465,7 +458,7 @@ def synth_scenario(spec: ScenarioSpec) -> Scenario:
             }
             scripts.append(
                 DialogScript(
-                    dialog_id=f"{spec.scenario_name()}/d{d}s{s}",
+                    dialog_id=f"{scenario_name}/d{d}s{s}",
                     turns=tuple(turns),
                     annotation=annotation,
                 )
@@ -479,12 +472,11 @@ def synth_scenario(spec: ScenarioSpec) -> Scenario:
         )
 
     return Scenario(
-        name=spec.scenario_name(),
+        name=scenario_name,
         identities=identities,
         edges=edges,
         preseed=tuple(preseed),
         days=tuple(days),
-        cohort_size=spec.cohort_size,
         cohort_seed=stable_seed(spec.seed, "cohort"),
     )
 
@@ -825,19 +817,6 @@ def _constructed_verification_scores(
     return raw, q_cohort, k_cohort
 
 
-def _asnorm_matrix(
-    raw: np.ndarray, q_cohort: np.ndarray, k_cohort: np.ndarray, top_n: int
-) -> np.ndarray:
-    """Vectorized adaptive s-norm over a full trial matrix."""
-    q_top = np.sort(q_cohort, axis=1)[:, ::-1][:, :top_n]
-    k_top = np.sort(k_cohort, axis=1)[:, ::-1][:, :top_n]
-    mu_q, sd_q = q_top.mean(axis=1), q_top.std(axis=1)
-    mu_k, sd_k = k_top.mean(axis=1), k_top.std(axis=1)
-    return 0.5 * (
-        (raw - mu_q[:, None]) / sd_q[:, None] + (raw - mu_k[None, :]) / sd_k[None, :]
-    )
-
-
 def _ranks_of_diagonal(scores: np.ndarray) -> list[int]:
     genuine = np.diag(scores)
     return [int(1 + np.sum(scores[q] > genuine[q])) for q in range(scores.shape[0])]
@@ -852,7 +831,9 @@ def eval_verification(n_seeds: int = 20, top_n: int = 200, seed: int = 0) -> Met
     norm_eers = []
     for bank_seed in range(seed, seed + n_seeds):
         raw, q_cohort, k_cohort = _constructed_verification_scores(bank_seed)
-        normalized = _asnorm_matrix(raw, q_cohort, k_cohort, top_n)
+        q_mean, q_std = np.array([_top_cohort_stats(row, top_n) for row in q_cohort]).T
+        k_mean, k_std = np.array([_top_cohort_stats(row, top_n) for row in k_cohort]).T
+        normalized = _asnorm(raw, q_mean[:, None], q_std[:, None], k_mean, k_std)
         raw_pass = pass_at_k(_ranks_of_diagonal(raw), 1)
         norm_pass = pass_at_k(_ranks_of_diagonal(normalized), 1)
         raw_rates.append(raw_pass)

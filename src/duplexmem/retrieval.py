@@ -2,10 +2,11 @@
 
 The dialog model asks for memories through an inline marker on its text
 channel: ``<retr>:`` followed by a relation group and a keyword group on
-separate lines, closed by ``<answer>``. Relation words drive a BM25 pass over
-neighbor memory documents; keyword words rerank the survivors by embedding
-distance. The final top-k is cut greedily under a fixed token budget so the
-result always fits the retrieval context window.
+separate lines, closed by ``<answer>``. The documents are the facts and
+dialog summaries of the current user's graph neighbors, one per item.
+Relation words drive a BM25 pass over them; keyword words rerank the
+survivors by embedding distance. The final top-k is cut greedily under a
+fixed token budget so the result always fits the retrieval context window.
 
 A DocumentIndex caches, for one run, what queries derive from the store. The
 documents of the current user and their BM25 statistics (token counts,
@@ -85,8 +86,8 @@ class QueryGroups:
 
 @dataclass(frozen=True)
 class DocumentSource:
-    user_id: str | None
-    kind: Literal["fact", "summary", "aux"]
+    user_id: str
+    kind: Literal["fact", "summary"]
     index: int
 
 
@@ -94,16 +95,10 @@ class DocumentSource:
 class RetrievalDocument:
     text: str
     source: DocumentSource
-    token_cost: int = field(default=-1)
+    token_cost: int = field(init=False)
 
     def __post_init__(self) -> None:
-        cost = token_cost(self.text)
-        if self.token_cost == -1:
-            object.__setattr__(self, "token_cost", cost)
-        elif self.token_cost != cost:
-            raise RetrievalError(
-                f"token_cost {self.token_cost} does not match tokenized length {cost}"
-            )
+        object.__setattr__(self, "token_cost", token_cost(self.text))
 
 
 @dataclass(frozen=True)
@@ -176,7 +171,7 @@ def parse_query_protocol(text: str) -> QueryGroups | None:
 
 
 def build_documents(store: "MemoryStore", current_user: str) -> list[RetrievalDocument]:
-    """One document per (neighbor, memory item), plus auxiliary documents.
+    """One document per (neighbor, memory item).
 
     Document text is the neighbor's name, the relation label, and the item's
     timestamp and text, comma-separated. Order is deterministic: neighbors
@@ -191,8 +186,6 @@ def build_documents(store: "MemoryStore", current_user: str) -> list[RetrievalDo
                 docs.append(
                     RetrievalDocument(text, DocumentSource(neighbor_id, kind, index))  # type: ignore[arg-type]
                 )
-    for index, text in enumerate(store.aux_documents):
-        docs.append(RetrievalDocument(text, DocumentSource(None, "aux", index)))
     return docs
 
 

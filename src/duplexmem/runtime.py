@@ -410,7 +410,8 @@ def run_agent(
     process answers a query marker completed at this step, and the management
     process rolls each completed fixed-size chunk (and the final partial
     chunk) into long-term memory. A cycle_config must use the same face and
-    speaker thresholds as config, so ticks and cycles decide identity alike.
+    speaker thresholds as config, so ticks and cycles decide identity alike,
+    and carries its own timestamp, so it cannot be passed with timestamp.
     """
     thresholds = (config.face_delta, config.speaker_theta)
     if cycle_config is None:
@@ -419,6 +420,8 @@ def run_agent(
             speaker_theta=config.speaker_theta,
             timestamp=timestamp,
         )
+    elif timestamp:
+        raise ValueError("pass the timestamp in cycle_config, not beside it")
     elif (cycle_config.face_delta, cycle_config.speaker_theta) != thresholds:
         raise ValueError(
             "cycle_config thresholds (face_delta, speaker_theta) "

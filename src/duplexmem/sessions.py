@@ -11,7 +11,7 @@ malformed tag sequences instead of failing, and reports every repair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -69,7 +69,6 @@ class SessionSpan:
 
     start_step: int
     end_step: int
-    user_marker: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.start_step < 0 or self.end_step < self.start_step:
@@ -129,7 +128,7 @@ class ActivityTagger:
         def close() -> None:
             nonlocal start
             if start is not None:
-                spans.append(SessionSpan(start, last_active, owner or None))
+                spans.append(SessionSpan(start, last_active))
                 start = None
 
         run_starts, run_ends = _activity_runs(active)

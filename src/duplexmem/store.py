@@ -257,7 +257,6 @@ class MemoryStore:
         self._users: dict[str, UserProfile] = {}
         self._edges: dict[tuple[str, str, str], RelationTriplet] = {}
         self._keys = {modality: KeyMatrix(modality) for modality in ("face", "voice")}
-        self._aux: list[str] = []
         self._audit: list[dict[str, Any]] = []
         self._store_version = 0
         self._next_user = 1
@@ -276,11 +275,6 @@ class MemoryStore:
     def user_ids(self) -> tuple[str, ...]:
         with self._lock:
             return tuple(sorted(self._users))
-
-    @property
-    def aux_documents(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._aux)
 
     @property
     def audit_entries(self) -> tuple[Mapping[str, Any], ...]:
@@ -506,13 +500,6 @@ class MemoryStore:
             )
             return True
 
-    def add_aux_document(self, text: str) -> None:
-        if not text:
-            raise StoreError("aux documents carry non-empty text")
-        with self._lock:
-            self._aux.append(text)
-            self._store_version += 1
-
     def _validate_persona(self, mapping: Mapping[str, str]) -> None:
         for slot in mapping:
             if slot not in self._persona_slots:
@@ -528,7 +515,6 @@ class MemoryStore:
                 self._persona_slots == other._persona_slots
                 and self._users == other._users
                 and set(self._edges) == set(other._edges)
-                and self._aux == other._aux
                 and self._store_version == other._store_version
                 and self._next_user == other._next_user
                 and self._audit == other._audit
@@ -574,7 +560,6 @@ class MemoryStore:
                     for uid in sorted(self._users)
                 },
                 "edges": sorted(list(key) for key in self._edges),
-                "aux": list(self._aux),
                 "embeddings_file": _EMBEDDINGS_FILE,
                 "embeddings_sha256": checksum,
             }
@@ -593,6 +578,8 @@ class MemoryStore:
             manifest = json.load(fh)
         if manifest.get("format") != STORE_FORMAT:
             raise StoreError(f"unsupported store format {manifest.get('format')!r}")
+        if manifest.get("aux"):  # older manifests carry "aux": [], which loads
+            raise StoreError("aux documents are no longer supported")
         with open(os.path.join(path, manifest["embeddings_file"]), "rb") as fh:
             sidecar = fh.read()
         if hashlib.sha256(sidecar).hexdigest() != manifest["embeddings_sha256"]:
@@ -626,7 +613,6 @@ class MemoryStore:
             store._users[uid] = profile
         for f, r, t in manifest["edges"]:
             store._edges[(f, r, t)] = RelationTriplet(f, r, t)
-        store._aux = list(manifest["aux"])
         store._store_version = manifest["store_version"]
         store._next_user = manifest["next_user"]
         audit_path = os.path.join(path, _AUDIT_FILE)

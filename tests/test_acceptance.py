@@ -223,7 +223,7 @@ def test_criterion_4_text_retrieval():
         documents = [
             RetrievalDocument(
                 " ".join(rng.choice(vocab, size=int(rng.integers(3, 12)))),
-                DocumentSource(None, "aux", i),
+                DocumentSource("user_0001", "fact", i),
             )
             for i in range(int(rng.integers(5, 40)))
         ]

@@ -55,7 +55,7 @@ DIGESTS: dict[str, dict[str, str]] = {
         "stdout": "6587cd9add824abd47d3807fddb31b045ff325f7ca29e9fff2a7a1a33d8bad4a",
         "store/audit.log": "1162ca9bb4c97e1882c8087813e673af4f46b4766869e077f024ae994c8dc94e",
         "store/embeddings.bin": "f988fe0abcb01bc5cb2346504e2d277c4c2b8934048a0f2e298c87dc3e657126",
-        "store/store.json": "90a8b9406b9b01df974d8e140b91892d644f52c9b71b00a2d98a2a47908af971",
+        "store/store.json": "654f5443567ee43bf0fb5372a56e62d5e0dd5847b6d384f7b3269aa033f3a203",
     },
     "simulate --seed 0": {
         "events.jsonl": "10738f15d50c3e83f743e2304f7dc7f94d91f405a0061939fe13b220d3a95fe6",
@@ -63,7 +63,7 @@ DIGESTS: dict[str, dict[str, str]] = {
         "stdout": "a9965142996aa42b167a613dc6f3b8f9aca8b939b1aa3fcd9865c143c4e004db",
         "store/audit.log": "a152c3ba4ad03d0b430806c8fdd6570693f8fee081ccbaebb2cc5c295252190b",
         "store/embeddings.bin": "64b64d3a60b8106b43b90214a458ef9c53f63b26bab8cb77b38e1d02bb526937",
-        "store/store.json": "a7796729303bbad7fd7ce2ec34dbc3a36431ac58a1b49af3895bca2a101cd80e",
+        "store/store.json": "5c4fde3038a3623af10955295b3fc0257faae7310f3cb92ac15730235242ce8b",
     },
     "simulate --seed 1": {
         "events.jsonl": "2b324f985a694b7bae1619fd53e637094dcf404d44bcb4d1c0f75c7f4d75d9e6",
@@ -71,7 +71,7 @@ DIGESTS: dict[str, dict[str, str]] = {
         "stdout": "1d5ef9640f6ef3af430f6289d64788d195e9917f514f701d568547ddf578d678",
         "store/audit.log": "e3004988b07ec82aef3a15383b4d88495bce49b5007c8301a3731a052811748a",
         "store/embeddings.bin": "c1cf14c625184558014450454aad0f09b95b6e476685b7ad24902b1d204f748f",
-        "store/store.json": "fa740c3897e1865aa7c4b44693b9b9f40d130dfab154e1db9ee2b324332c817a",
+        "store/store.json": "353ef62e87a427d64db2210c06dd2247653b636b4bb964d98c535ed14bb5d693",
     },
     "simulate --seed 2": {
         "events.jsonl": "5c1d3230b284285b19564c3c203915624e6ac05f8cc78922ae8b16895f97bf95",
@@ -79,7 +79,7 @@ DIGESTS: dict[str, dict[str, str]] = {
         "stdout": "c1cfd04bf606f427c1fad7ffbe773d0ba3c36fcc67d9502e5eea7155e6752c81",
         "store/audit.log": "9cf87e329a1fcdb2def5727add9ba9be6ee5aa56ec3308b666a03c2e01dab564",
         "store/embeddings.bin": "47f7c84d2b4d17e268447573ab4ef78a3c3571ceab0c70c3caff9a32954fbf48",
-        "store/store.json": "2c6ce2ce11329195a7df89300b10ebd7a42cadd823309b9ffa6a8b79c8efe831",
+        "store/store.json": "9c0fa6266a1be36828a1d872945f2d705a2c134bddbb043c522a23a69f6cc189",
     },
     "simulate --seed 3": {
         "events.jsonl": "9719f7f7116afe301161559413fdb32fafc1775ee39c7bb372d25b88e28c5512",
@@ -87,7 +87,7 @@ DIGESTS: dict[str, dict[str, str]] = {
         "stdout": "9c0ec62bf57fa504aed26e0a0ef7bc2d255b3dcefd184da34dc0905a69ed1815",
         "store/audit.log": "756d65ba16420a1182343d3ab1a040da94fcf1c187ebd663d3fd22f25799d549",
         "store/embeddings.bin": "327068141fddc083fa3e6fa72422db089c5d138005322c8e7a61d2d086f07a12",
-        "store/store.json": "205bfb2a68062f5886902b5f684736b29d425a8d9d99e631741a3ae499b11cf0",
+        "store/store.json": "c4960450b3edc2565a15dc884e3d615790b4482f95524f50a90ea3039ff77825",
     },
     "simulate --seed 4": {
         "events.jsonl": "2dd4fa1a589d3da80c17d43629d519454358935309a9afc7a529b7cb6e825e00",
@@ -95,7 +95,7 @@ DIGESTS: dict[str, dict[str, str]] = {
         "stdout": "a56e8c3e6135c6362e2c8523829b7d2e65b7d940c8ee562006747eff7773df2f",
         "store/audit.log": "ba7e328b9b478fbfcdf6611c705883be3e531d010a976b6d1465d42259eb0fd4",
         "store/embeddings.bin": "7a1b1a0601b7ddd7abac4879e213a60afd4d144da8ff746bade6f7fe97970c6e",
-        "store/store.json": "16e0ba186aa568470eb5025e8a188b0bec46b790dae5d26185fda1d4d7e501f6",
+        "store/store.json": "6cb28b0a282fe9bb9f3aa498f03b13755276ae7e8f60d0942a8cc94382f74cdb",
     },
     "synth --seed 0 --days 21": {
         "exit": "0",

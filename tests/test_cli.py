@@ -5,7 +5,13 @@ import json
 import pytest
 
 from duplexmem import cli
-from duplexmem.harness import MetricCheck, MetricsTable, scenario_from_json
+from duplexmem.harness import (
+    MetricCheck,
+    MetricsTable,
+    demo_scenario,
+    scenario_from_json,
+    scenario_store,
+)
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +180,14 @@ class TestFilePipeline:
         assert code == 2
         assert "bad event line 2" in err
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"x"', "3", "null"])
+    def test_replay_rejects_lines_that_are_not_objects(self, capsys, tmp_path, line):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"event": "tick"}\n' + line + "\n")
+        code, _, err = run_cli(capsys, "replay", str(path))
+        assert code == 2
+        assert err == "error: bad event line 2: not a JSON object\n"
+
     def test_replay_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "replay", str(tmp_path / "absent.jsonl"))
         assert code == 2
@@ -208,3 +222,40 @@ class TestEval:
         with pytest.raises(SystemExit) as excinfo:
             run_cli(capsys, "eval", "nonsense")
         assert excinfo.value.code == 2
+
+
+class TestStoreInspect:
+    def persisted(self, tmp_path):
+        store, _ = scenario_store(demo_scenario())
+        store.persist(str(tmp_path / "store"))
+        return store, tmp_path / "store"
+
+    def test_lists_every_user_in_id_order(self, capsys, tmp_path):
+        store, path = self.persisted(tmp_path)
+        code, out, _ = run_cli(
+            capsys, "store", "inspect", "--dir", str(path), "--format", "machine"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"users", "audit_entries"}
+        assert [u["user_id"] for u in payload["users"]] == list(store.user_ids)
+        first = store.lookup_user(store.user_ids[0])
+        assert payload["users"][0] == {
+            "user_id": first.user_id,
+            "name": first.name,
+            "version": first.version,
+            "facts": len(first.facts),
+            "summaries": len(first.dialog_summaries),
+            "persona_slots_set": len(first.persona),
+            "edges": len(first.relation_edges),
+        }
+        assert payload["audit_entries"] == len(store.audit_entries)
+
+    def test_store_errors_are_reported_not_raised(self, capsys, tmp_path):
+        _, path = self.persisted(tmp_path)
+        with open(path / "embeddings.bin", "ab") as fh:
+            fh.write(b"\0")
+        code, out, err = run_cli(capsys, "store", "inspect", "--dir", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: embedding sidecar does not match its manifest checksum\n"

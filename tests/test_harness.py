@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from duplexmem import harness
 from duplexmem.harness import (
     HarnessError,
     MetricCheck,
@@ -314,5 +316,35 @@ class TestEvalTables:
         table = eval_streams(n_scenarios=25)
         assert table.all_passed, table.render_text()
 
+    def test_verification_asnorm_equals_the_matrix_reference(self, monkeypatch):
+        """eval_verification normalizes each bank exactly as the vectorized
+        matrix form it replaced, over banks 0-39."""
+        normalized = []
+        real = harness._asnorm
+
+        def recording(*args):
+            normalized.append(real(*args))
+            return normalized[-1]
+
+        monkeypatch.setattr(harness, "_asnorm", recording)
+        eval_verification(n_seeds=40, seed=0)
+        assert len(normalized) == 40
+        for bank_seed, got in enumerate(normalized):
+            raw, q_cohort, k_cohort = harness._constructed_verification_scores(bank_seed)
+            assert np.array_equal(got, ref_asnorm_matrix(raw, q_cohort, k_cohort, 200))
+
     def test_tables_are_deterministic(self):
         assert eval_trigger(n_streams=5).to_payload() == eval_trigger(n_streams=5).to_payload()
+
+
+def ref_asnorm_matrix(
+    raw: np.ndarray, q_cohort: np.ndarray, k_cohort: np.ndarray, top_n: int
+) -> np.ndarray:
+    """Vectorized adaptive s-norm over a full trial matrix."""
+    q_top = np.sort(q_cohort, axis=1)[:, ::-1][:, :top_n]
+    k_top = np.sort(k_cohort, axis=1)[:, ::-1][:, :top_n]
+    mu_q, sd_q = q_top.mean(axis=1), q_top.std(axis=1)
+    mu_k, sd_k = k_top.mean(axis=1), k_top.std(axis=1)
+    return 0.5 * (
+        (raw - mu_q[:, None]) / sd_q[:, None] + (raw - mu_k[None, :]) / sd_k[None, :]
+    )

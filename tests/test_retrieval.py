@@ -184,11 +184,9 @@ class TestRetrievalDocument:
     def test_cost_autofilled(self):
         assert doc("hello").token_cost == 5
 
-    def test_explicit_cost_checked(self):
-        with pytest.raises(RetrievalError):
-            RetrievalDocument("hello", DocumentSource(None, "aux", 0), token_cost=3)
-        ok = RetrievalDocument("hello", DocumentSource(None, "aux", 0), token_cost=5)
-        assert ok.token_cost == 5
+    def test_cost_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            RetrievalDocument("hello", DocumentSource("user_0001", "fact", 0), token_cost=5)
 
 
 class TestRetrievalResult:
@@ -251,13 +249,6 @@ class TestBuildDocuments:
         texts = " ".join(d.text for d in build_documents(store, me))
         assert "Zoe" not in texts
         assert build_documents(store, stranger) == []
-
-    def test_aux_documents_appended(self):
-        store, me, _, _ = self.make_store()
-        store.add_aux_document("standing reminder")
-        docs = build_documents(store, me)
-        assert docs[-1].text == "standing reminder"
-        assert docs[-1].source == DocumentSource(None, "aux", 0)
 
 
 class TestBm25:
@@ -348,7 +339,7 @@ class TestRerank:
         index = DocumentIndex()
         with pytest.raises(EncoderFailure, match="backend down"):
             rerank_by_keywords(
-                [doc("alpha", 0), RetrievalDocument("poison", DocumentSource(None, "aux", 0))],
+                [doc("alpha", 0), doc("poison", 1)],
                 ["alpha"],
                 encoder,
                 index,
@@ -521,8 +512,6 @@ def ref_build_documents(store, current_user):
                 docs.append(
                     RetrievalDocument(text, DocumentSource(neighbor_id, kind, index))  # type: ignore[arg-type]
                 )
-    for index, text in enumerate(store.aux_documents):
-        docs.append(RetrievalDocument(text, DocumentSource(None, "aux", index)))
     return docs
 
 
@@ -657,8 +646,6 @@ def stores(draw):
         for relation in draw(st.lists(st.sampled_from(RELATIONS), min_size=1, max_size=2)):
             store.add_relation_edge(RelationTriplet(host, relation, neighbor))
     seed_profile(store, key(rng, "face"), key(rng, "voice"), "Loner", facts=[("alpha", "d1")])
-    for text in draw(st.lists(st.sampled_from(("standing alpha", "tea")), max_size=2)):
-        store.add_aux_document(text)
     return store, host, rng
 
 
@@ -722,7 +709,7 @@ class TestIndexedEquivalence:
         for _ in range(data.draw(st.integers(1, 6), label="writes")):
             users = store.user_ids
             neighbors = [n for n, _ in store.connected_users(host)] or list(users)
-            action = data.draw(st.sampled_from(("update", "edge", "create", "aux")), label="write")
+            action = data.draw(st.sampled_from(("update", "edge", "create", "bump")), label="write")
             if action == "update":
                 user = data.draw(st.sampled_from(neighbors), label="updated")
                 facts = data.draw(facts_strategy, label="facts")
@@ -741,8 +728,11 @@ class TestIndexedEquivalence:
                 new = seed_profile(store, key(rng, "face"), key(rng, "voice"), name,
                                    facts=data.draw(facts_strategy, label="new facts"))
                 store.add_relation_edge(RelationTriplet(new, "friend", host))
-            else:
-                store.add_aux_document(data.draw(st.sampled_from(WORDS), label="aux"))
+            else:  # a new version whose documents are unchanged
+                user = data.draw(st.sampled_from(users), label="bumped")
+                store.apply_profile_update(
+                    user, UpdateResolution(user, store.lookup_user(user).version)
+                )
             for user in (host, data.draw(st.sampled_from(store.user_ids), label="user")):
                 assert_same(data.draw(asked, label="groups"), store, user, embed, index, data)
 
@@ -763,17 +753,24 @@ class TestIndexedEquivalence:
         first = retrieve_topk(groups, store, me, index=index)
         assert retrieve_topk(groups, store, me, index=index) == first
         assert len(builds) == 1
-        store.add_aux_document("friend notes")
+        self.add_fact(store, "friend notes")
         second = retrieve_topk(groups, store, me, index=index)
         assert len(builds) == 2
-        assert second.documents[0].document.text == "friend notes"
+        assert second.documents[0].document.text == "Ann, friend, d2, friend notes"
         # another store object at the same version is another corpus
         other, _, _ = TestRetrieveTopK().setup_store()
-        other.add_aux_document("old friend")
+        self.add_fact(other, "old friend")
         assert other.store_version == store.store_version
         third = retrieve_topk(groups, other, me, index=index)
         assert len(builds) == 3
-        assert third.documents[0].document.text == "old friend"
+        assert third.documents[0].document.text == "Ann, friend, d2, old friend"
+
+    @staticmethod
+    def add_fact(store, text):
+        ann = store.name_directory()["Ann"]
+        store.apply_profile_update(ann, UpdateResolution(
+            ann, store.lookup_user(ann).version, fact_appends=(MemoryItem(text, "d2"),)
+        ))
 
     def test_user_without_documents_keeps_nothing(self, monkeypatch):
         builds = self.count_builds(monkeypatch)

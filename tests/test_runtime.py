@@ -552,6 +552,14 @@ class TestRunAgent:
             run_agent(stream, emily_store(), suite, AgentConfig(), cycle_config=cycle_config)
         run_agent(stream, emily_store(), suite, AgentConfig(), cycle_config=CycleConfig())
 
+    def test_timestamp_beside_a_cycle_config_is_rejected(self):
+        built, stream, rows = build_fixture([emily_dialog()])
+        suite = mock_suite(ROSTER, utterances=rows)
+        cycle_config = CycleConfig(timestamp="2024-05-15")
+        with pytest.raises(ValueError, match="timestamp"):
+            run_agent(stream, emily_store(), suite, AgentConfig(), timestamp="2024-05-16",
+                      cycle_config=cycle_config)
+
 
 class CorruptingTransport:
     """Replaces the embedding of chosen (kind, sample_index) encoder replies."""

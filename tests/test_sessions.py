@@ -68,8 +68,8 @@ class TestSessionSpan:
         with pytest.raises(SessionError):
             SessionSpan(5, 4)
 
-    def test_marker_excluded_from_comparison(self):
-        assert SessionSpan(1, 2, 5) == SessionSpan(1, 2, 9)
+    def test_spans_compare_and_sort_by_steps(self):
+        assert SessionSpan(1, 2) == SessionSpan(1, 2) != SessionSpan(1, 3)
         assert sorted([SessionSpan(8, 9), SessionSpan(1, 2)])[0].start_step == 1
 
 

@@ -442,17 +442,6 @@ class TestNameDirectory:
         assert directory == {"Emily": a}
 
 
-class TestAuxDocuments:
-    def test_append_and_read(self):
-        store = MemoryStore()
-        before = store.store_version
-        store.add_aux_document("standing note")
-        assert store.aux_documents == ("standing note",)
-        assert store.store_version == before + 1
-        with pytest.raises(StoreError):
-            store.add_aux_document("")
-
-
 class TestPersonaSchema:
     def test_custom_slots(self):
         store = MemoryStore(persona_slots=("color", "animal"))
@@ -483,7 +472,6 @@ class TestPersistence:
         )
         b = store.create_user(face(1), voice(1), ExtractedMemory(user_name="John"))
         store.add_relation_edge(RelationTriplet(a, "colleague", b))
-        store.add_aux_document("note")
         store.apply_profile_update(
             b,
             UpdateResolution(
@@ -506,11 +494,35 @@ class TestPersistence:
         store = self.populated()
         target = str(tmp_path / "store")
         store.persist(target)
-        store.add_aux_document("later note")
+        later = MemoryItem("later fact", "2024-05-16")
+        store.apply_profile_update("user_0001", UpdateResolution("user_0001", 1, (later,)))
         store.persist(target)
         loaded = MemoryStore.load(target)
-        assert loaded.aux_documents == ("note", "later note")
+        assert loaded.lookup_user("user_0001").facts[-1] == later
         assert loaded == store
+
+    def persisted_with_aux(self, tmp_path, aux):
+        """A persisted store whose manifest carries an "aux" list, as older
+        stores did."""
+        store = self.populated()
+        target = str(tmp_path / "store")
+        store.persist(target)
+        manifest_path = os.path.join(target, "store.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["aux"] = aux
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=1)
+        return store, target
+
+    def test_manifest_with_empty_aux_list_loads(self, tmp_path):
+        store, target = self.persisted_with_aux(tmp_path, [])
+        assert MemoryStore.load(target) == store
+
+    def test_manifest_with_aux_documents_rejected(self, tmp_path):
+        _, target = self.persisted_with_aux(tmp_path, ["x"])
+        with pytest.raises(StoreError, match="aux"):
+            MemoryStore.load(target)
 
     def test_corrupt_sidecar_detected(self, tmp_path):
         store = self.populated()
@@ -617,8 +629,8 @@ class TestSeedProfile:
 
 def test_store_equality_conventions():
     a, _ = fresh_store(1)
-    b, _ = fresh_store(1)
+    b, ids = fresh_store(1)
     assert a == b
-    b.add_aux_document("x")
+    b.apply_profile_update(ids[0], UpdateResolution(ids[0], 1, (MemoryItem("x", "t"),)))
     assert a != b
     assert a != "not a store"
