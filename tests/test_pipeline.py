@@ -26,12 +26,13 @@ from duplexmem.pipeline import (
     run_management_cycle,
 )
 from duplexmem.sessions import SessionSpan
-from duplexmem.store import MemoryItem, MemoryStore, seed_profile
+from duplexmem.store import MemoryItem, MemoryStore, RelationTriplet, seed_profile
 from duplexmem.stream import DialogScript, StreamBuildConfig, TurnScript, build_stream
 from duplexmem.verification import CohortSet, Embedding
 
 EMILY = IdentitySeed("emily", 11)
 JOHN = IdentitySeed("john", 11)
+ANN = IdentitySeed("ann", 11)
 ROSTER = {2: EMILY, 3: JOHN}
 MARKERS = {"Emily": 2, "John": 3}
 
@@ -291,6 +292,50 @@ class TestUpdates:
             e for e in store.audit_entries if e["action"] == "replace_persona"
         ][0]
         assert replacement["old"] == "golf" and replacement["new"] == "tennis"
+
+    def test_matched_session_resolves_relation_names(self):
+        """A known name gains an edge, a linked one adds nothing, and an
+        unknown name (however often repeated) or the speaker's own name stays
+        unresolved. Profile writes land in the audit log before edges."""
+        built, rows = build_fixture([emily_dialog()])
+        store = self.preseeded_store()
+        john = seed_profile(store, JOHN.key_embedding("face"), JOHN.key_embedding("voice"), "John")
+        ann = seed_profile(store, ANN.key_embedding("face"), ANN.key_embedding("voice"), "Ann")
+        store.add_relation_edge(RelationTriplet("user_0001", "friend", ann))
+        audit_before = len(store.audit_entries)
+        annotation = {
+            **EMILY_ANNOTATION,
+            "relation_facts": [
+                ["colleague", "John"],
+                ["friend", "Ann"],
+                ["neighbor", "Ghost"],
+                ["colleague", "John"],
+                ["cousin", "Ghost"],
+                ["twin", "Emily"],
+            ],
+        }
+        annotations = {transcript_of(built.scripts[0]): annotation}
+        suite = make_suite(rows, annotations)
+
+        (record,) = run_cycle(built, rows, store, suite=suite).records
+        assert (record.action, record.user_id) == ("updated", "user_0001")
+        assert (record.facts_added, record.edges_added) == (1, 1)
+        assert set(record.unresolved_names) == {"Ghost", "Emily"}
+        assert len(record.unresolved_names) == 2
+        assert store.connected_users("user_0001") == [
+            (john, "colleague"), (ann, "friend")
+        ]
+        assert [e["action"] for e in store.audit_entries[audit_before:]] == [
+            "apply_update", "add_edge"
+        ]
+        assert store.audit_entries[-1]["edge"] == ["user_0001", "colleague", john]
+
+        (again,) = run_cycle(built, rows, store, suite=suite).records
+        assert (again.action, again.edges_added) == ("unchanged", 0)
+        assert set(again.unresolved_names) == {"Ghost", "Emily"}
+        assert [e["action"] for e in store.audit_entries[audit_before:]] == [
+            "apply_update", "add_edge"
+        ]
 
 
 class TestFaultIsolation:
