@@ -253,18 +253,14 @@ def _check_update_request(body: Mapping[str, Any]) -> None:
     for key in ("user_id", "version", "facts", "dialog_summaries", "persona"):
         if key not in profile:
             raise BackendSchemaError(f"profile missing {key!r}", payload=dict(body))
-    known = _need(body, "known_users", dict)
-    if not all(isinstance(k, str) and isinstance(v, str) for k, v in known.items()):
-        raise BackendSchemaError("known_users must map names to user ids", payload=dict(body))
 
 
 def _check_update_response(body: Mapping[str, Any]) -> None:
     _need(body, "target_user", str)
     _need(body, "base_version", int)
-    for key in ("fact_appends", "summary_appends", "replacements", "new_edges"):
+    for key in ("fact_appends", "summary_appends", "replacements"):
         _need(body, key, list)
     _need(body, "persona_updates", dict)
-    _need(body, "unresolved_names", list)
 
 
 _REQUEST_VALIDATORS: dict[str, _Validator] = {
@@ -580,8 +576,8 @@ class MockUpdateAgentService:
 
     Exact-duplicate facts and summaries are dropped. A persona slot that is
     empty on the profile becomes a plain update; one that holds a different
-    value becomes a replacement citing the old value. Relation facts resolve
-    through the provided name directory, or land in unresolved_names.
+    value becomes a replacement citing the old value. Relation facts are
+    not the agent's concern: the pipeline resolves them against the store.
     """
 
     kind = "update_agent"
@@ -589,7 +585,6 @@ class MockUpdateAgentService:
     def handle(self, body: Mapping[str, Any]) -> dict[str, Any]:
         extracted = body["extracted"]
         profile = body["profile"]
-        known_users = body["known_users"]
         timestamp = extracted.get("session_timestamp", "")
 
         have_facts = {item["text"] for item in profile["facts"]}
@@ -617,27 +612,13 @@ class MockUpdateAgentService:
                     {"slot": slot, "old": current, "new": value, "reason": "newer session value"}
                 )
 
-        new_edges: list[list[str]] = []
-        unresolved: list[str] = []
-        user_id = profile["user_id"]
-        for relation, name in extracted.get("relation_facts", ()):
-            other = known_users.get(name)
-            if other is None or other == user_id:
-                unresolved.append(name)
-            else:
-                edge = [user_id, relation, other]
-                if edge not in new_edges:
-                    new_edges.append(edge)
-
         return {
-            "target_user": user_id,
+            "target_user": profile["user_id"],
             "base_version": profile["version"],
             "fact_appends": fact_appends,
             "summary_appends": summary_appends,
             "persona_updates": persona_updates,
             "replacements": replacements,
-            "new_edges": new_edges,
-            "unresolved_names": sorted(set(unresolved)),
         }
 
 

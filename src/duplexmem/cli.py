@@ -21,6 +21,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .backends import BACKEND_KINDS, http_suite
 from .harness import (
+    HarnessError,
     MetricsTable,
     Scenario,
     ScenarioSpec,
@@ -127,7 +128,10 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         return demo_scenario()
     if args.scenario is not None:
         with open(args.scenario, "r", encoding="utf-8") as fh:
-            return scenario_from_json(fh.read())
+            try:
+                return scenario_from_json(fh.read())
+            except (KeyError, TypeError, ValueError, HarnessError) as exc:
+                raise CliError(f"bad scenario file: {type(exc).__name__}: {exc}") from exc
     return synth_scenario(ScenarioSpec(seed=args.seed))
 
 
@@ -253,14 +257,14 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     counts: dict[str, int] = {}
     total = 0
-    with open(args.event_log, "r", encoding="utf-8") as fh:
+    with open(args.event_log, "rb") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
+                event = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise CliError(f"bad event line {total + 1}: {exc}") from exc
             if not isinstance(event, dict):
                 raise CliError(f"bad event line {total + 1}: not a JSON object")

@@ -24,7 +24,6 @@ from .backends import (
     BackendSuite,
     IdentitySeed,
     MockTextEncoderService,
-    RetryPolicy,
     UtteranceRow,
     mock_suite,
     stable_seed,
@@ -624,7 +623,6 @@ def dialog_transcript(dialog: DialogScript) -> str:
 def scenario_suite(
     scenario: Scenario,
     placed_scripts: Sequence[DialogScript],
-    retry: RetryPolicy = RetryPolicy(),
     wrap_transport=None,
 ) -> BackendSuite:
     """Mock backends for one day: rosters, utterance table, annotations."""
@@ -646,7 +644,6 @@ def scenario_suite(
         voice_roster=roster,
         utterances=utterances,
         annotations=annotations,
-        retry=retry,
         wrap_transport=wrap_transport,
     )
 
@@ -699,8 +696,6 @@ class SimulationResult:
 def simulate_lifelong_run(
     scenario: Scenario,
     config: AgentConfig = AgentConfig(),
-    retry: RetryPolicy = RetryPolicy(),
-    wrap_transport=None,
     suite_factory=None,
 ) -> SimulationResult:
     """Run the agent over every scenario day against one persistent store.
@@ -713,7 +708,7 @@ def simulate_lifelong_run(
     for index, day in enumerate(scenario.days):
         built = build_day_stream(scenario, index)
         if suite_factory is None:
-            suite = scenario_suite(scenario, built.scripts, retry, wrap_transport)
+            suite = scenario_suite(scenario, built.scripts)
         else:
             suite = suite_factory(built.scripts)
         run = run_agent(built.stream, store, suite, config, timestamp=day.timestamp)

@@ -3,9 +3,10 @@
 A management cycle takes one stream segment, finds the dialog sessions inside
 it, and turns each session into profile writes: transcribe, extract memory,
 verify who was speaking (face first, voice as fallback), then either update
-the matched profile through the update agent or enroll a new user. Every
-session is processed inside its own fault boundary, so one bad span or one
-failing backend call never poisons the rest of the chunk.
+the matched profile through the update agent or enroll a new user, and link
+the user to the known users the session names. Every session is processed
+inside its own fault boundary, so one bad span or one failing backend call
+never poisons the rest of the chunk.
 
 Re-running a cycle over the same segment is a no-op by construction: the
 update agent drops exact duplicates, empty resolutions are not applied, and
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 from .backends import BackendSuite
 from .sessions import (
@@ -183,31 +183,27 @@ def extract_memory(clip: SessionClip, backends: BackendSuite, timestamp: str) ->
 def resolve_update(
     extracted: ExtractedMemory,
     profile: UserProfile,
-    store: MemoryStore,
     backends: BackendSuite,
 ) -> UpdateResolution:
     """Ask the update agent to reconcile extracted memory with a profile."""
     body = backends.update_agent.call(
-        {
-            "extracted": extracted.to_payload(),
-            "profile": profile.to_payload(),
-            "known_users": store.name_directory(),
-        }
+        {"extracted": extracted.to_payload(), "profile": profile.to_payload()}
     )
     return UpdateResolution.from_payload(body)
 
 
-def update_social_graph(store: MemoryStore, edges: Sequence[RelationTriplet]) -> int:
-    """Insert relation edges, returning how many were actually new."""
-    return sum(1 for edge in edges if store.add_relation_edge(edge))
-
-
-def _resolve_created_edges(
+def _resolve_edges(
     store: MemoryStore,
     user_id: str,
     extracted: ExtractedMemory,
 ) -> tuple[int, tuple[str, ...]]:
-    """Edge resolution for a just-created user (no agent round trip needed)."""
+    """Turn the session's relation facts into edges from user_id.
+
+    Returns how many edges were new, and the names that matched no other
+    user (unknown, ambiguous or the user's own), in first-seen order.
+    """
+    if not extracted.relation_facts:
+        return 0, ()
     directory = store.name_directory()
     added = 0
     unresolved: list[str] = []
@@ -216,7 +212,7 @@ def _resolve_created_edges(
         if other is None or other == user_id:
             unresolved.append(name)
         else:
-            added += update_social_graph(store, [RelationTriplet(user_id, relation, other)])
+            added += store.add_relation_edge(RelationTriplet(user_id, relation, other))
     return added, tuple(dict.fromkeys(unresolved))
 
 
@@ -267,7 +263,7 @@ def process_session(
     if decision.outcome == "matched":
         assert decision.user_id is not None
         profile = store.lookup_user(decision.user_id)
-        resolution = resolve_update(extracted, profile, store, backends)
+        resolution = resolve_update(extracted, profile, backends)
         has_profile_changes = bool(
             resolution.fact_appends
             or resolution.summary_appends
@@ -276,7 +272,7 @@ def process_session(
         )
         if has_profile_changes:
             store.apply_profile_update(decision.user_id, resolution)
-        edges_added = update_social_graph(store, resolution.new_edges)
+        edges_added, unresolved = _resolve_edges(store, decision.user_id, extracted)
         return SessionRecord(
             clip.start_step,
             clip.end_step,
@@ -285,7 +281,7 @@ def process_session(
             facts_added=len(resolution.fact_appends),
             summaries_added=len(resolution.summary_appends),
             edges_added=edges_added,
-            unresolved_names=resolution.unresolved_names,
+            unresolved_names=unresolved,
         )
 
     # new user: enrollment needs both modality keys from this session
@@ -298,7 +294,7 @@ def process_session(
             reason=f"unmatched speaker but no {missing} key to enroll",
         )
     user_id = store.create_user(face, voice, extracted, timestamp=config.timestamp)
-    edges_added, unresolved = _resolve_created_edges(store, user_id, extracted)
+    edges_added, unresolved = _resolve_edges(store, user_id, extracted)
     return SessionRecord(
         clip.start_step,
         clip.end_step,

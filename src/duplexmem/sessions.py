@@ -16,11 +16,16 @@ from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .stream import AUDIO_EMPTY, SPEAKER_MARKER_BASE, StreamSegment, TokenStream
-
-TAG_START = 1
-TAG_IN = 2
-TAG_END = 3
+from .stream import (
+    AUDIO_EMPTY,
+    SPEAKER_MARKER_BASE,
+    TAG_END,
+    TAG_IN,
+    TAG_START,
+    StreamSegment,
+    TokenStream,
+    session_tags,
+)
 
 DEFAULT_GAP_STEPS = 25  # two seconds of silence at 12.5 steps per second
 
@@ -241,15 +246,11 @@ def extract_sessions(tags: TagSequence) -> ExtractionResult:
 
 def spans_to_labels(spans: Sequence[SessionSpan], length: int) -> TagSequence:
     """Render well-formed spans back to a tag sequence."""
-    labels = np.zeros(length, dtype=np.uint8)
-    for span in sorted(spans):
+    ordered = sorted(spans)
+    for span in ordered:
         if span.end_step >= length:
             raise SessionError(f"span {span} exceeds length {length}")
-        labels[span.start_step] = TAG_START
-        if span.end_step > span.start_step:
-            labels[span.start_step + 1:span.end_step] = TAG_IN
-            labels[span.end_step] = TAG_END
-    return TagSequence(labels)
+    return TagSequence(session_tags([(s.start_step, s.end_step) for s in ordered], length))
 
 
 def jaccard_score(predicted: Sequence[SessionSpan], gold: Sequence[SessionSpan]) -> float:

@@ -35,6 +35,7 @@ from .persona import DEFAULT_PERSONA_SLOTS
 from .verification import (
     SCREEN_EPS,
     Embedding,
+    EmbeddingShapeError,
     KeyMatrix,
     KeyView,
     cosine_distance,
@@ -154,16 +155,12 @@ class UpdateResolution:
     summary_appends: tuple[MemoryItem, ...] = ()
     persona_updates: Mapping[str, str] = field(default_factory=dict)
     replacements: tuple[PersonaReplacement, ...] = ()
-    new_edges: tuple[RelationTriplet, ...] = ()
-    unresolved_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fact_appends", tuple(self.fact_appends))
         object.__setattr__(self, "summary_appends", tuple(self.summary_appends))
         object.__setattr__(self, "persona_updates", dict(self.persona_updates))
         object.__setattr__(self, "replacements", tuple(self.replacements))
-        object.__setattr__(self, "new_edges", tuple(self.new_edges))
-        object.__setattr__(self, "unresolved_names", tuple(self.unresolved_names))
 
     def to_payload(self) -> dict[str, Any]:
         return {
@@ -178,8 +175,6 @@ class UpdateResolution:
                 {"slot": r.slot, "old": r.old_value, "new": r.new_value, "reason": r.reason}
                 for r in self.replacements
             ],
-            "new_edges": [[e.from_user, e.relation, e.to_user] for e in self.new_edges],
-            "unresolved_names": list(self.unresolved_names),
         }
 
     @classmethod
@@ -198,10 +193,6 @@ class UpdateResolution:
                 PersonaReplacement(r["slot"], r["old"], r["new"], r["reason"])
                 for r in payload.get("replacements", ())
             ),
-            new_edges=tuple(
-                RelationTriplet(f, r, t) for f, r, t in payload.get("new_edges", ())
-            ),
-            unresolved_names=tuple(payload.get("unresolved_names", ())),
         )
 
 
@@ -409,9 +400,9 @@ class MemoryStore:
 
         Rejects resolutions computed against a stale version. Replacements
         must cite the live persona value; every change lands in the audit log
-        with old value, new value, and reason. Relation edges in the
-        resolution are NOT applied here (see update_social_graph in the
-        pipeline), keeping profile writes and graph writes separable.
+        with old value, new value, and reason. Relation edges are not part
+        of a resolution: they are written with add_relation_edge, keeping
+        profile writes and graph writes separable.
         """
         with self._lock:
             profile = self._users.get(user_id)
@@ -573,53 +564,60 @@ class MemoryStore:
 
     @classmethod
     def load(cls, path: str) -> "MemoryStore":
-        manifest_path = os.path.join(path, _MANIFEST_FILE)
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("format") != STORE_FORMAT:
-            raise StoreError(f"unsupported store format {manifest.get('format')!r}")
-        if manifest.get("aux"):  # older manifests carry "aux": [], which loads
-            raise StoreError("aux documents are no longer supported")
-        with open(os.path.join(path, manifest["embeddings_file"]), "rb") as fh:
-            sidecar = fh.read()
-        if hashlib.sha256(sidecar).hexdigest() != manifest["embeddings_sha256"]:
-            raise StoreChecksumError("embedding sidecar does not match its manifest checksum")
+        """Read a store written by persist. A manifest, sidecar or audit log
+        that cannot be read back raises StoreError, chained to the cause."""
+        try:
+            manifest_path = os.path.join(path, _MANIFEST_FILE)
+            with open(manifest_path, "r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+            if manifest.get("format") != STORE_FORMAT:
+                raise StoreError(f"unsupported store format {manifest.get('format')!r}")
+            if manifest.get("aux"):  # older manifests carry "aux": [], which loads
+                raise StoreError("aux documents are no longer supported")
+            with open(os.path.join(path, manifest["embeddings_file"]), "rb") as fh:
+                sidecar = fh.read()
+            if hashlib.sha256(sidecar).hexdigest() != manifest["embeddings_sha256"]:
+                raise StoreChecksumError("embedding sidecar does not match its manifest checksum")
 
-        store = cls(persona_slots=tuple(manifest["persona_slots"]))
-        users = manifest["users"]
-        keys = {}
-        for kind, matrix in store._keys.items():
-            rows = []
-            for uid, record in users.items():
-                meta = record["keys"][kind]
-                start, dim = meta["offset"], meta["dim"]
-                if start + dim * 4 > len(sidecar):
-                    raise StoreChecksumError("embedding sidecar is truncated")
-                rows.append(np.frombuffer(sidecar, "<f4", dim, start))
-            keys[kind] = matrix.extend(list(users), rows)
-        for (uid, record), face_key, voice_key in zip(users.items(), keys["face"], keys["voice"]):
-            profile = UserProfile(
-                user_id=uid,
-                face_key=face_key,
-                voice_key=voice_key,
-                name=record["name"],
-                facts=tuple(MemoryItem(i["text"], i["timestamp"]) for i in record["facts"]),
-                dialog_summaries=tuple(
-                    MemoryItem(i["text"], i["timestamp"]) for i in record["dialog_summaries"]
-                ),
-                persona=record["persona"],  # the profile copies it
-                version=record["version"],
-            )
-            store._users[uid] = profile
-        for f, r, t in manifest["edges"]:
-            store._edges[(f, r, t)] = RelationTriplet(f, r, t)
-        store._store_version = manifest["store_version"]
-        store._next_user = manifest["next_user"]
-        audit_path = os.path.join(path, _AUDIT_FILE)
-        if os.path.exists(audit_path):
-            with open(audit_path, "r", encoding="utf-8") as fh:
-                store._audit = [json.loads(line) for line in fh if line.strip()]
-        return store
+            store = cls(persona_slots=tuple(manifest["persona_slots"]))
+            users = manifest["users"]
+            keys = {}
+            for kind, matrix in store._keys.items():
+                rows = []
+                for uid, record in users.items():
+                    meta = record["keys"][kind]
+                    start, dim = meta["offset"], meta["dim"]
+                    if start + dim * 4 > len(sidecar):
+                        raise StoreChecksumError("embedding sidecar is truncated")
+                    rows.append(np.frombuffer(sidecar, "<f4", dim, start))
+                keys[kind] = matrix.extend(list(users), rows)
+            for (uid, record), face_key, voice_key in zip(
+                users.items(), keys["face"], keys["voice"]
+            ):
+                profile = UserProfile(
+                    user_id=uid,
+                    face_key=face_key,
+                    voice_key=voice_key,
+                    name=record["name"],
+                    facts=tuple(MemoryItem(i["text"], i["timestamp"]) for i in record["facts"]),
+                    dialog_summaries=tuple(
+                        MemoryItem(i["text"], i["timestamp"]) for i in record["dialog_summaries"]
+                    ),
+                    persona=record["persona"],  # the profile copies it
+                    version=record["version"],
+                )
+                store._users[uid] = profile
+            for f, r, t in manifest["edges"]:
+                store._edges[(f, r, t)] = RelationTriplet(f, r, t)
+            store._store_version = manifest["store_version"]
+            store._next_user = manifest["next_user"]
+            audit_path = os.path.join(path, _AUDIT_FILE)
+            if os.path.exists(audit_path):
+                with open(audit_path, "r", encoding="utf-8") as fh:
+                    store._audit = [json.loads(line) for line in fh if line.strip()]
+            return store
+        except (KeyError, TypeError, ValueError, EmbeddingShapeError) as exc:
+            raise StoreError(f"unreadable store {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _atomic_write(path: str, data: bytes | np.ndarray) -> None:

@@ -40,6 +40,11 @@ SPEAKER_MARKER_BASE = 2
 # Monologue text for a response starts this many steps before its audio.
 MONOLOGUE_LEAD_STEPS = 2
 
+# Per-step session tags; 0 is outside any session.
+TAG_START = 1
+TAG_IN = 2
+TAG_END = 3
+
 STREAM_MAGIC = b"FDTS"
 STREAM_VERSION = 1
 _HEADER = struct.Struct("<4sHIIIIII")  # magic, version, length, l1 bounds, l2 bounds, rate*100
@@ -389,7 +394,7 @@ class SupervisionMask:
         if self.kind == "session_tags":
             if mask.ndim != 1:
                 raise MaskBuildError("session_tags masks are flat label arrays")
-            if mask.max(initial=0) > 3:
+            if mask.max(initial=0) > TAG_END:
                 raise MaskBuildError("session tags take values in {0, 1, 2, 3}")
         else:
             if mask.ndim != 2 or mask.shape[1] != 2:
@@ -456,16 +461,22 @@ def make_supervision_masks(
                 masks.append(SupervisionMask("response", f"{dialog.dialog_id}/t{k}/response", r))
         return masks
     if task == "session_tags":
-        labels = np.zeros(length, dtype=np.uint8)
-        for dialog in scripts:
-            start, end = dialog.session_span  # type: ignore[misc]
-            labels[start] = 1
-            if end - 1 > start:
-                labels[start + 1:end - 1] = 2
-                labels[end - 1] = 3
-        masks.append(SupervisionMask("session_tags", "session_tags", labels))
+        spans = [(start, end - 1) for start, end in (d.session_span for d in scripts)]
+        masks.append(SupervisionMask("session_tags", "session_tags", session_tags(spans, length)))
         return masks
     raise MaskBuildError(f"unknown mask task {task!r}")
+
+
+def session_tags(spans: Sequence[tuple[int, int]], length: int) -> np.ndarray:
+    """Per-step tags for inclusive (start, end) spans, in the order given:
+    TAG_START on the first step, TAG_IN inside, TAG_END on the last step."""
+    labels = np.zeros(length, dtype=np.uint8)
+    for start, end in spans:
+        labels[start] = TAG_START
+        if end > start:
+            labels[start + 1:end] = TAG_IN
+            labels[end] = TAG_END
+    return labels
 
 
 def serialize_stream(stream: TokenStream) -> bytes:

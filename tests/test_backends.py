@@ -292,12 +292,8 @@ class TestMockUpdateAgent:
         base.update(overrides)
         return base
 
-    def call(self, extracted, profile=None, known=None):
-        body = {
-            "extracted": extracted,
-            "profile": profile or self.profile(),
-            "known_users": known or {},
-        }
+    def call(self, extracted, profile=None):
+        body = {"extracted": extracted, "profile": profile or self.profile()}
         return MockUpdateAgentService().handle(body)
 
     def test_duplicate_facts_dropped(self):
@@ -331,29 +327,6 @@ class TestMockUpdateAgent:
     def test_matching_persona_value_is_noop(self):
         out = self.call({"persona_trail": {"favorite_sport": "tennis"}})
         assert out["persona_updates"] == {} and out["replacements"] == []
-
-    def test_relation_resolution(self):
-        out = self.call(
-            {"relation_facts": [["colleague", "John"], ["friend", "Ghost"]]},
-            known={"John": "user_0002"},
-        )
-        assert out["new_edges"] == [["user_0001", "colleague", "user_0002"]]
-        assert out["unresolved_names"] == ["Ghost"]
-
-    def test_self_reference_unresolved(self):
-        out = self.call(
-            {"relation_facts": [["twin", "Me"]]}, known={"Me": "user_0001"}
-        )
-        assert out["new_edges"] == []
-        assert out["unresolved_names"] == ["Me"]
-
-    def test_duplicate_edges_and_names_deduped(self):
-        out = self.call(
-            {"relation_facts": [["friend", "John"], ["friend", "John"], ["x", "G"], ["y", "G"]]},
-            known={"John": "user_0002"},
-        )
-        assert out["new_edges"] == [["user_0001", "friend", "user_0002"]]
-        assert out["unresolved_names"] == ["G"]
 
 
 class TestSchemaValidation:
@@ -435,7 +408,7 @@ class TestSchemaValidation:
         with pytest.raises(BackendSchemaError):
             validate_request(
                 "update_agent",
-                {"extracted": {}, "profile": {"user_id": "u"}, "known_users": {}},
+                {"extracted": {}, "profile": {"user_id": "u"}},
             )
         with pytest.raises(BackendSchemaError):
             validate_response("update_agent", {"target_user": "u"})

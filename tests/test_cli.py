@@ -11,6 +11,7 @@ from duplexmem.harness import (
     demo_scenario,
     scenario_from_json,
     scenario_store,
+    scenario_to_json,
 )
 
 
@@ -82,6 +83,15 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--scenario", str(tmp_path / "no.json"))
         assert code == 2
         assert "error:" in err
+
+    def test_scenario_without_identities(self, capsys, tmp_path):
+        payload = json.loads(scenario_to_json(demo_scenario()))
+        del payload["identities"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: bad scenario file: KeyError: 'identities'\n"
 
     def test_http_transport_needs_addresses(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--seed", "1", "--transport", "http")
@@ -188,6 +198,13 @@ class TestFilePipeline:
         assert code == 2
         assert err == "error: bad event line 2: not a JSON object\n"
 
+    def test_replay_rejects_invalid_utf8(self, capsys, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(b'{"event": "tick"}\n{"event": "\xff"}\n')
+        code, out, err = run_cli(capsys, "replay", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad event line 2: 'utf-8' codec can't decode byte 0xff")
+
     def test_replay_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "replay", str(tmp_path / "absent.jsonl"))
         assert code == 2
@@ -259,3 +276,27 @@ class TestStoreInspect:
         assert code == 2
         assert out == ""
         assert err == "error: embedding sidecar does not match its manifest checksum\n"
+
+    @pytest.mark.parametrize(
+        "edit, cause",
+        [
+            (lambda m: m.pop("next_user"), "KeyError: 'next_user'"),
+            (lambda m: m["users"]["user_0001"]["keys"]["voice"].update(dim=255),
+             "EmbeddingShapeError"),
+            (None, "JSONDecodeError"),
+        ],
+        ids=["missing_key", "wrong_key_dim", "not_json"],
+    )
+    def test_unreadable_manifest_is_reported(self, capsys, tmp_path, edit, cause):
+        _, path = self.persisted(tmp_path)
+        manifest_path = path / "store.json"
+        if edit is None:
+            manifest_path.write_text(manifest_path.read_text()[:-3])
+        else:
+            manifest = json.loads(manifest_path.read_text())
+            edit(manifest)
+            manifest_path.write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, "store", "inspect", "--dir", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: unreadable store {path}: {cause}")

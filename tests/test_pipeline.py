@@ -320,8 +320,7 @@ class TestUpdates:
         (record,) = run_cycle(built, rows, store, suite=suite).records
         assert (record.action, record.user_id) == ("updated", "user_0001")
         assert (record.facts_added, record.edges_added) == (1, 1)
-        assert set(record.unresolved_names) == {"Ghost", "Emily"}
-        assert len(record.unresolved_names) == 2
+        assert record.unresolved_names == ("Ghost", "Emily")  # first-seen order
         assert store.connected_users("user_0001") == [
             (john, "colleague"), (ann, "friend")
         ]
@@ -332,7 +331,7 @@ class TestUpdates:
 
         (again,) = run_cycle(built, rows, store, suite=suite).records
         assert (again.action, again.edges_added) == ("unchanged", 0)
-        assert set(again.unresolved_names) == {"Ghost", "Emily"}
+        assert again.unresolved_names == ("Ghost", "Emily")
         assert [e["action"] for e in store.audit_entries[audit_before:]] == [
             "apply_update", "add_edge"
         ]

@@ -76,8 +76,6 @@ class TestValueTypes:
             summary_appends=(MemoryItem("s", "t"),),
             persona_updates={"hometown": "Lyon"},
             replacements=(PersonaReplacement("hometown", "Paris", "Lyon", "moved"),),
-            new_edges=(RelationTriplet("user_0001", "friend", "user_0002"),),
-            unresolved_names=("Ghost",),
         )
         assert UpdateResolution.from_payload(resolution.to_payload()) == resolution
 
@@ -365,18 +363,6 @@ class TestProfileUpdates:
                 ),
             )
 
-    def test_resolution_edges_not_applied_by_profile_update(self):
-        store, ids = fresh_store(2)
-        store.apply_profile_update(
-            ids[0],
-            UpdateResolution(
-                target_user=ids[0],
-                base_version=1,
-                new_edges=(RelationTriplet(ids[0], "friend", ids[1]),),
-            ),
-        )
-        assert store.connected_users(ids[0]) == []
-
     def test_audit_entry_shape(self):
         store, (uid,) = fresh_store(1)
         store.apply_profile_update(
@@ -557,18 +543,44 @@ class TestPersistence:
         with pytest.raises(StoreChecksumError):
             MemoryStore.load(target)
 
-    def test_wrong_key_dim_in_manifest_rejected(self, tmp_path):
-        store = self.populated()
+    def persisted_with_manifest(self, tmp_path, edit):
+        """A persisted store whose manifest text is replaced by edit(text)."""
         target = str(tmp_path / "store")
-        store.persist(target)
+        self.populated().persist(target)
         manifest_path = os.path.join(target, "store.json")
         with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        manifest["users"]["user_0002"]["keys"]["voice"]["dim"] = 255
+            text = fh.read()
         with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh)
-        with pytest.raises(EmbeddingShapeError):
+            fh.write(edit(text))
+        return target
+
+    def test_wrong_key_dim_in_manifest_rejected(self, tmp_path):
+        def edit(text):
+            manifest = json.loads(text)
+            manifest["users"]["user_0002"]["keys"]["voice"]["dim"] = 255
+            return json.dumps(manifest)
+
+        target = self.persisted_with_manifest(tmp_path, edit)
+        with pytest.raises(StoreError, match="EmbeddingShapeError") as info:
             MemoryStore.load(target)
+        assert isinstance(info.value.__cause__, EmbeddingShapeError)
+
+    def test_missing_manifest_key_rejected(self, tmp_path):
+        def edit(text):
+            manifest = json.loads(text)
+            del manifest["next_user"]
+            return json.dumps(manifest)
+
+        target = self.persisted_with_manifest(tmp_path, edit)
+        with pytest.raises(StoreError, match="KeyError: 'next_user'") as info:
+            MemoryStore.load(target)
+        assert isinstance(info.value.__cause__, KeyError)
+
+    def test_manifest_that_is_not_json_rejected(self, tmp_path):
+        target = self.persisted_with_manifest(tmp_path, lambda text: text[:-3])
+        with pytest.raises(StoreError, match="JSONDecodeError") as info:
+            MemoryStore.load(target)
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
 
     def test_unknown_format_rejected(self, tmp_path):
         store = self.populated()
