@@ -35,6 +35,8 @@ from duplexmem.backends import (
     validate_request,
     validate_response,
 )
+from duplexmem.pipeline import _resolve_edges
+from duplexmem.store import ExtractedMemory, MemoryStore
 from duplexmem.verification import Embedding, compute_eer, cosine_distance
 
 
@@ -327,6 +329,50 @@ class TestMockUpdateAgent:
     def test_matching_persona_value_is_noop(self):
         out = self.call({"persona_trail": {"favorite_sport": "tennis"}})
         assert out["persona_updates"] == {} and out["replacements"] == []
+
+    def resolve(self, relation_facts):
+        """Relation facts pass the agent untouched; the pipeline resolves them.
+
+        The store holds user_0001 "Me" (the speaker) and user_0002 "John".
+        Returns (edges added, unresolved names, the speaker's neighbors).
+        """
+        out = self.call({"relation_facts": relation_facts, "session_timestamp": "t1"})
+        validate_response("update_agent", out)
+        assert "new_edges" not in out and "unresolved_names" not in out
+        assert out["fact_appends"] == [] and out["persona_updates"] == {}
+        store = MemoryStore()
+        for i, name in enumerate(("Me", "John")):
+            rng = np.random.default_rng(i)
+            store.create_user(
+                Embedding(rng.normal(size=512), "face"),
+                Embedding(rng.normal(size=256), "voice"),
+                ExtractedMemory(user_name=name),
+            )
+        added, unresolved = _resolve_edges(
+            store, "user_0001", ExtractedMemory(relation_facts=relation_facts)
+        )
+        return added, unresolved, store.connected_users("user_0001")
+
+    def test_relation_resolution(self):
+        added, unresolved, neighbors = self.resolve(
+            [["colleague", "John"], ["friend", "Ghost"]]
+        )
+        assert added == 1
+        assert neighbors == [("user_0002", "colleague")]
+        assert unresolved == ("Ghost",)
+
+    def test_self_reference_unresolved(self):
+        added, unresolved, neighbors = self.resolve([["twin", "Me"]])
+        assert added == 0 and neighbors == []
+        assert unresolved == ("Me",)
+
+    def test_duplicate_edges_and_names_deduped(self):
+        added, unresolved, neighbors = self.resolve(
+            [["friend", "John"], ["friend", "John"], ["x", "G"], ["y", "G"]]
+        )
+        assert added == 1
+        assert neighbors == [("user_0002", "friend")]
+        assert unresolved == ("G",)
 
 
 class TestSchemaValidation:
