@@ -258,16 +258,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     counts: dict[str, int] = {}
     total = 0
     with open(args.event_log, "rb") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
                 event = json.loads(line.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise CliError(f"bad event line {total + 1}: {exc}") from exc
+                raise CliError(f"bad event line {number}: {exc}") from exc
             if not isinstance(event, dict):
-                raise CliError(f"bad event line {total + 1}: not a JSON object")
+                raise CliError(f"bad event line {number}: not a JSON object")
             total += 1
             kind = str(event.get("event", "unknown"))
             counts[kind] = counts.get(kind, 0) + 1

@@ -14,9 +14,12 @@ of the key values: each profile's face_key/voice_key is a read-only view of
 its row, and user_keys hands out a prefix view of the rows, so no view ever
 mutates. Rows are never changed or removed.
 
-Persistence is a directory: a versioned JSON manifest, a binary sidecar with
-the raw float32 embeddings (checksummed from the manifest), and an
-append-only JSONL audit log. All three are written atomically.
+Persistence is a directory: a compact JSON manifest, a content-addressed
+sidecar holding the face key rows and then the voice key rows as float32
+(checksummed from the manifest), and an append-only JSONL audit log whose
+committed length the manifest records. Renaming the manifest into place is
+the one commit point, so a persist that stops anywhere leaves the old store
+or the new one; see MemoryStore.persist.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, Sequence
@@ -45,10 +49,12 @@ logger = logging.getLogger(__name__)
 
 UNKNOWN_USER_NAME = "unknown_user"
 
-STORE_FORMAT = "memory-store/1"
+STORE_FORMAT = "memory-store/2"
+_FORMAT_1 = "memory-store/1"  # still loads
 _MANIFEST_FILE = "store.json"
-_EMBEDDINGS_FILE = "embeddings.bin"
 _AUDIT_FILE = "audit.log"
+# what persist writes, and so may delete once the manifest no longer names it
+_OWN_FILE = re.compile(r"(store\.json|embeddings(-[0-9a-f]{64})?\.bin|audit(-\d+)?\.log)(\.tmp)?")
 
 
 class StoreError(Exception):
@@ -162,21 +168,6 @@ class UpdateResolution:
         object.__setattr__(self, "persona_updates", dict(self.persona_updates))
         object.__setattr__(self, "replacements", tuple(self.replacements))
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "target_user": self.target_user,
-            "base_version": self.base_version,
-            "fact_appends": [{"text": i.text, "timestamp": i.timestamp} for i in self.fact_appends],
-            "summary_appends": [
-                {"text": i.text, "timestamp": i.timestamp} for i in self.summary_appends
-            ],
-            "persona_updates": dict(self.persona_updates),
-            "replacements": [
-                {"slot": r.slot, "old": r.old_value, "new": r.new_value, "reason": r.reason}
-                for r in self.replacements
-            ],
-        }
-
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "UpdateResolution":
         return cls(
@@ -251,6 +242,7 @@ class MemoryStore:
         self._audit: list[dict[str, Any]] = []
         self._store_version = 0
         self._next_user = 1
+        self._disk: _Committed | None = None  # what it last read or wrote
 
     # -- read side -------------------------------------------------------
 
@@ -516,62 +508,112 @@ class MemoryStore:
     # -- persistence -----------------------------------------------------
 
     def persist(self, path: str) -> None:
-        """Write the store to a directory (manifest, sidecar, audit log).
+        """Write the store to a directory: manifest, key sidecar, audit log.
 
-        Each file is written to a temp name and atomically renamed, so a
-        crashed persist never corrupts an older copy. Concurrent persists
-        serialize on the writer lock; the last one wins and both are audited.
+        Renaming the new manifest over store.json is the one commit point.
+        Before it, persist changes no byte that the current manifest names:
+        the sidecar's name is the sha256 of its bytes, and the log only grows
+        past the length that manifest records or goes to a new file. So a
+        persist that stops anywhere leaves the old store or the new one for
+        load. After it, persist deletes the files the new manifest no longer
+        names. The log is appended to when this store last loaded from or
+        persisted to this directory and the manifest there is unchanged
+        since; otherwise it is written afresh. One directory has one writer
+        at a time; concurrent persists of one store serialize on its writer
+        lock, and the last one wins.
         """
         with self._lock:
             self._audit.append(
                 {"action": "persist", "path": str(path), "store_version": self._store_version}
             )
             os.makedirs(path, exist_ok=True)
-            # one buffer, user by user in id order: face values, then voice values
-            width = sum(matrix.dim for matrix in self._keys.values())
-            sidecar = np.empty((len(self._users), width), "<f4")
-            offsets: dict[str, dict[str, Any]] = {}
-            for row, uid in enumerate(sorted(self._users)):
-                profile = self._users[uid]
-                entry: dict[str, Any] = {}
-                column = 0
-                for kind, emb in (("face", profile.face_key), ("voice", profile.voice_key)):
-                    sidecar[row, column:column + emb.dim] = emb.values
-                    entry[kind] = {"offset": 4 * (row * width + column), "dim": emb.dim}
-                    column += emb.dim
-                offsets[uid] = entry
-            checksum = hashlib.sha256(sidecar).hexdigest()
+            views = {kind: matrix.view() for kind, matrix in self._keys.items()}
+            planes = [view.rows() for view in views.values()]  # face rows, then voice rows
+            digest = hashlib.sha256()
+            for plane in planes:
+                digest.update(plane)
+            sidecar = f"embeddings-{digest.hexdigest()}.bin"
+            _atomic_write(os.path.join(path, sidecar), *planes)
+
+            manifest_path = os.path.join(path, _MANIFEST_FILE)
+            fd, audit_file, entries, offset = self._open_log(path, _file_key(manifest_path))
+            try:
+                new = "".join(json.dumps(e, sort_keys=True) + "\n" for e in self._audit[entries:])
+                os.ftruncate(fd, offset)  # drop what a crashed persist appended
+                audit_bytes = _write(fd, new.encode("utf-8"), offset)
+                os.fsync(fd)
+                log_key = _file_key(fd)[:2]
+            finally:
+                os.close(fd)
+
             manifest = {
                 "format": STORE_FORMAT,
                 "store_version": self._store_version,
                 "next_user": self._next_user,
                 "persona_slots": list(self._persona_slots),
-                "users": {
-                    uid: {**self._users[uid].to_payload(), "keys": offsets[uid]}
-                    for uid in sorted(self._users)
-                },
+                "users": {uid: self._users[uid].to_payload() for uid in sorted(self._users)},
                 "edges": sorted(list(key) for key in self._edges),
-                "embeddings_file": _EMBEDDINGS_FILE,
-                "embeddings_sha256": checksum,
+                "key_rows": views["face"].ids,
+                "key_dims": {kind: view.matrix.dim for kind, view in views.items()},
+                "embeddings_file": sidecar,
+                "embeddings_sha256": digest.hexdigest(),
+                "audit_file": audit_file,
+                "audit_bytes": audit_bytes,
             }
-            audit_text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in self._audit)
-            _atomic_write(os.path.join(path, _EMBEDDINGS_FILE), sidecar)
-            _atomic_write(os.path.join(path, _AUDIT_FILE), audit_text.encode("utf-8"))
-            _atomic_write(
-                os.path.join(path, _MANIFEST_FILE),
-                json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8"),
+            _fsync_dir(path)  # the new names are durable before the manifest cites them
+            _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True).encode("utf-8"))
+            self._disk = _Committed(
+                _file_key(manifest_path), audit_file, log_key, len(self._audit), audit_bytes
             )
+            _fsync_dir(path)
+            for name in os.listdir(path):
+                if name not in (_MANIFEST_FILE, sidecar, audit_file) and _OWN_FILE.fullmatch(name):
+                    os.unlink(os.path.join(path, name))
+
+    def _open_log(
+        self, path: str, manifest_key: tuple[int, ...] | None
+    ) -> tuple[int, str, int, int]:
+        """The audit log to write: its descriptor, its name, and the number
+        of entries and bytes already committed in it. That is the committed
+        log when the manifest is the one this store last read or wrote, else
+        a new file under a name nothing in the directory uses."""
+        disk = self._disk
+        if disk is not None and manifest_key == disk.manifest:
+            try:
+                fd = os.open(os.path.join(path, disk.audit_file), os.O_WRONLY)
+            except FileNotFoundError:
+                pass
+            else:
+                key = _file_key(fd)
+                if key[:2] == disk.log and key[2] >= disk.audit_bytes:
+                    return fd, disk.audit_file, disk.entries, disk.audit_bytes
+                os.close(fd)
+        name, k = _AUDIT_FILE, 0
+        while True:
+            try:
+                flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                return os.open(os.path.join(path, name), flags, 0o666), name, 0, 0
+            except FileExistsError:
+                k += 1
+                name = f"audit-{k}.log"
 
     @classmethod
     def load(cls, path: str) -> "MemoryStore":
-        """Read a store written by persist. A manifest, sidecar or audit log
-        that cannot be read back raises StoreError, chained to the cause."""
+        """Read a store written by persist, in this format or memory-store/1.
+
+        A manifest, sidecar or audit log that cannot be read back raises
+        StoreError, chained to the cause, and so does a store that breaks an
+        invariant: an edge endpoint or key row that is no user, a persona
+        slot outside the schema, a version below 1, a user id at or above
+        next_user, or an audit log shorter than its committed length.
+        """
         try:
-            manifest_path = os.path.join(path, _MANIFEST_FILE)
-            with open(manifest_path, "r", encoding="utf-8") as fh:
+            with open(os.path.join(path, _MANIFEST_FILE), "rb") as fh:
+                manifest_key = _file_key(fh.fileno())
                 manifest = json.load(fh)
-            if manifest.get("format") != STORE_FORMAT:
-                raise StoreError(f"unsupported store format {manifest.get('format')!r}")
+            fmt = manifest.get("format")
+            if fmt not in (STORE_FORMAT, _FORMAT_1):
+                raise StoreError(f"unsupported store format {fmt!r}")
             if manifest.get("aux"):  # older manifests carry "aux": [], which loads
                 raise StoreError("aux documents are no longer supported")
             with open(os.path.join(path, manifest["embeddings_file"]), "rb") as fh:
@@ -581,52 +623,140 @@ class MemoryStore:
 
             store = cls(persona_slots=tuple(manifest["persona_slots"]))
             users = manifest["users"]
-            keys = {}
-            for kind, matrix in store._keys.items():
-                rows = []
-                for uid, record in users.items():
-                    meta = record["keys"][kind]
-                    start, dim = meta["offset"], meta["dim"]
-                    if start + dim * 4 > len(sidecar):
-                        raise StoreChecksumError("embedding sidecar is truncated")
-                    rows.append(np.frombuffer(sidecar, "<f4", dim, start))
-                keys[kind] = matrix.extend(list(users), rows)
-            for (uid, record), face_key, voice_key in zip(
-                users.items(), keys["face"], keys["voice"]
-            ):
-                profile = UserProfile(
+            if fmt == _FORMAT_1:
+                ids, planes = list(users), _format_1_rows(users, sidecar, store._keys)
+            else:
+                ids, planes = manifest["key_rows"], _planes(sidecar, manifest, store._keys)
+            if sorted(ids) != sorted(users):
+                raise StoreError("the key rows are not one row for each user")
+            keys = {
+                kind: dict(zip(ids, matrix.extend(ids, planes[kind])))
+                for kind, matrix in store._keys.items()
+            }
+            store._next_user = manifest["next_user"]
+            for uid, record in users.items():
+                if int(uid.removeprefix("user_")) >= store._next_user:
+                    raise StoreError(f"next_user {store._next_user} is not above {uid!r}")
+                store._validate_persona(record["persona"])
+                store._users[uid] = UserProfile(
                     user_id=uid,
-                    face_key=face_key,
-                    voice_key=voice_key,
+                    face_key=keys["face"][uid],
+                    voice_key=keys["voice"][uid],
                     name=record["name"],
                     facts=tuple(MemoryItem(i["text"], i["timestamp"]) for i in record["facts"]),
                     dialog_summaries=tuple(
                         MemoryItem(i["text"], i["timestamp"]) for i in record["dialog_summaries"]
                     ),
                     persona=record["persona"],  # the profile copies it
-                    version=record["version"],
+                    version=record["version"],  # the profile checks it is at least 1
                 )
-                store._users[uid] = profile
             for f, r, t in manifest["edges"]:
+                for endpoint in (f, t):
+                    if endpoint not in users:
+                        raise UnknownUserError(f"edge endpoint {endpoint!r} is no user")
                 store._edges[(f, r, t)] = RelationTriplet(f, r, t)
             store._store_version = manifest["store_version"]
-            store._next_user = manifest["next_user"]
-            audit_path = os.path.join(path, _AUDIT_FILE)
-            if os.path.exists(audit_path):
-                with open(audit_path, "r", encoding="utf-8") as fh:
-                    store._audit = [json.loads(line) for line in fh if line.strip()]
+            if fmt == _FORMAT_1:
+                audit_path = os.path.join(path, _AUDIT_FILE)
+                if os.path.exists(audit_path):
+                    with open(audit_path, "rb") as fh:
+                        store._audit = [json.loads(line) for line in fh if line.strip()]
+                return store
+            audit_file, audit_bytes = manifest["audit_file"], manifest["audit_bytes"]
+            with open(os.path.join(path, audit_file), "rb") as fh:
+                log = fh.read(audit_bytes)  # a tail past it is a crashed persist's
+                log_key = _file_key(fh.fileno())[:2]
+            if len(log) != audit_bytes:
+                raise StoreError(f"audit log is shorter than its committed {audit_bytes} bytes")
+            store._audit = json.loads(b"[" + b",".join(log.splitlines()) + b"]")
+            store._disk = _Committed(manifest_key, audit_file, log_key, len(store._audit), audit_bytes)
             return store
         except (KeyError, TypeError, ValueError, EmbeddingShapeError) as exc:
             raise StoreError(f"unreadable store {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _atomic_write(path: str, data: bytes | np.ndarray) -> None:
+@dataclass(frozen=True)
+class _Committed:
+    """What a store last read from or wrote to a directory."""
+
+    manifest: tuple[int, ...]  # _file_key of store.json
+    audit_file: str
+    log: tuple[int, ...]  # device and inode of the log
+    entries: int  # audit entries in the committed log
+    audit_bytes: int  # and their length
+
+
+def _file_key(file: str | int) -> tuple[int, ...] | None:
+    """Device, inode, size and modification time of a path or descriptor,
+    or None when there is no such file: a changed key is a changed file."""
+    try:
+        st = os.stat(file)
+    except FileNotFoundError:
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _planes(
+    sidecar: bytes, manifest: Mapping[str, Any], matrices: Mapping[str, KeyMatrix]
+) -> dict[str, np.ndarray]:
+    """Each modality's key rows, in row order, as views of the sidecar."""
+    n, dims = len(manifest["key_rows"]), manifest["key_dims"]
+    for kind, matrix in matrices.items():
+        if dims[kind] != matrix.dim:
+            raise EmbeddingShapeError(f"{kind} keys have {matrix.dim} dims, not {dims[kind]}")
+    if len(sidecar) != 4 * n * sum(dims[kind] for kind in matrices):
+        raise StoreChecksumError("embedding sidecar does not hold the manifest's key rows")
+    flat, planes, start = np.frombuffer(sidecar, "<f4"), {}, 0
+    for kind, matrix in matrices.items():
+        planes[kind] = flat[start:start + n * matrix.dim].reshape(n, matrix.dim)
+        start += n * matrix.dim
+    return planes
+
+
+def _format_1_rows(
+    users: Mapping[str, Any], sidecar: bytes, matrices: Mapping[str, KeyMatrix]
+) -> dict[str, list[np.ndarray]]:
+    """memory-store/1 keeps each user's key rows at an offset of its own."""
+    planes = {}
+    for kind in matrices:
+        rows = []
+        for record in users.values():
+            start, dim = record["keys"][kind]["offset"], record["keys"][kind]["dim"]
+            if start + dim * 4 > len(sidecar):
+                raise StoreChecksumError("embedding sidecar is truncated")
+            rows.append(np.frombuffer(sidecar, "<f4", dim, start))
+        planes[kind] = rows
+    return planes
+
+
+def _write(fd: int, data: bytes | np.ndarray, offset: int) -> int:
+    """Write all of data at offset; returns the offset after it."""
+    view = memoryview(data).cast("B") if len(data) else memoryview(b"")
+    while view:
+        n = os.pwrite(fd, view, offset)
+        view, offset = view[n:], offset + n
+    return offset
+
+
+def _atomic_write(path: str, *chunks: bytes | np.ndarray) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        offset = 0
+        for chunk in chunks:
+            offset = _write(fd, chunk, offset)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
+
+
+def _fsync_dir(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def seed_profile(

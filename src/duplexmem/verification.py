@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -309,20 +309,34 @@ class KeyView(Sequence[tuple[str, Embedding]]):
         rows = sorted(np.flatnonzero(mask).tolist(), key=lambda r: (ids[r], r))
         return [(r, ids[r], keys[r]) for r in rows]
 
+    @property
+    def ids(self) -> list[str]:
+        """The user id of each row, in row order."""
+        return self.matrix._ids[:self._n]
+
+    def rows(self) -> np.ndarray:
+        """A little-endian float32 copy of the rows, in row order."""
+        return np.concatenate(
+            [np.empty((0, self.matrix.dim), "<f4")] + [rows for rows, _ in self._blocks()],
+            dtype="<f4",
+        )
+
+    def _blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(rows, norms) of each block, cut to the view's rows."""
+        left = self._n
+        for rows, norms in self.matrix._blocks:
+            if left <= 0:
+                break
+            yield rows[:left], norms[:left]
+            left -= len(rows)
+
     def similarities(self, query: Embedding) -> np.ndarray:
         """Clamped cosine similarity of the query to every row, in row order,
         within SCREEN_EPS of cosine_similarity's."""
         if query.dim != self.matrix.dim:
             raise EmbeddingShapeError(f"dimension mismatch: {query.dim} vs {self.matrix.dim}")
-        parts = []
-        left = self._n
-        for rows, norms in self.matrix._blocks:
-            take = min(len(rows), left)
-            if take <= 0:
-                break
-            # the same float64 quotient as cosine_distance, of a float32 dot product
-            parts.append((rows[:take] @ query.values) / (query.norm * norms[:take]))
-            left -= take
+        # the same float64 quotient as cosine_distance, of a float32 dot product
+        parts = [(rows @ query.values) / (query.norm * norms) for rows, norms in self._blocks()]
         return np.clip(np.concatenate(parts), -1.0, 1.0)
 
 

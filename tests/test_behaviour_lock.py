@@ -54,48 +54,48 @@ DIGESTS: dict[str, dict[str, str]] = {
         "exit": "0",
         "stdout": "6587cd9add824abd47d3807fddb31b045ff325f7ca29e9fff2a7a1a33d8bad4a",
         "store/audit.log": "1162ca9bb4c97e1882c8087813e673af4f46b4766869e077f024ae994c8dc94e",
-        "store/embeddings.bin": "f988fe0abcb01bc5cb2346504e2d277c4c2b8934048a0f2e298c87dc3e657126",
-        "store/store.json": "654f5443567ee43bf0fb5372a56e62d5e0dd5847b6d384f7b3269aa033f3a203",
+        "store/embeddings-5a29c4f6a557be9a8863de631cef07e94b61323c6e0c00ff500b409bee33d28e.bin": "5a29c4f6a557be9a8863de631cef07e94b61323c6e0c00ff500b409bee33d28e",
+        "store/store.json": "863d4ac48e966df565fe03fdafdf56278cf914f0cf3eaff263d854f70c41457b",
     },
     "simulate --seed 0": {
         "events.jsonl": "10738f15d50c3e83f743e2304f7dc7f94d91f405a0061939fe13b220d3a95fe6",
         "exit": "0",
         "stdout": "a9965142996aa42b167a613dc6f3b8f9aca8b939b1aa3fcd9865c143c4e004db",
         "store/audit.log": "a152c3ba4ad03d0b430806c8fdd6570693f8fee081ccbaebb2cc5c295252190b",
-        "store/embeddings.bin": "64b64d3a60b8106b43b90214a458ef9c53f63b26bab8cb77b38e1d02bb526937",
-        "store/store.json": "5c4fde3038a3623af10955295b3fc0257faae7310f3cb92ac15730235242ce8b",
+        "store/embeddings-a8de189caca0bccd7fe3a8757e97e640c515376af34695f387aabdca0c603e13.bin": "a8de189caca0bccd7fe3a8757e97e640c515376af34695f387aabdca0c603e13",
+        "store/store.json": "8687baa7d4856105d497bcc9b4661eb74a8c8e376166cca6a847bea3154d5ceb",
     },
     "simulate --seed 1": {
         "events.jsonl": "2b324f985a694b7bae1619fd53e637094dcf404d44bcb4d1c0f75c7f4d75d9e6",
         "exit": "0",
         "stdout": "1d5ef9640f6ef3af430f6289d64788d195e9917f514f701d568547ddf578d678",
         "store/audit.log": "e3004988b07ec82aef3a15383b4d88495bce49b5007c8301a3731a052811748a",
-        "store/embeddings.bin": "c1cf14c625184558014450454aad0f09b95b6e476685b7ad24902b1d204f748f",
-        "store/store.json": "353ef62e87a427d64db2210c06dd2247653b636b4bb964d98c535ed14bb5d693",
+        "store/embeddings-1875ee6234035fb2abcfdc975fea09f5fec8f6d3175e0fa1f9f8f24b2b4fdcf1.bin": "1875ee6234035fb2abcfdc975fea09f5fec8f6d3175e0fa1f9f8f24b2b4fdcf1",
+        "store/store.json": "5fe4adfcade42a95854c6fea433e22650bbd48d130a9f30ec4a26c93c42229cb",
     },
     "simulate --seed 2": {
         "events.jsonl": "5c1d3230b284285b19564c3c203915624e6ac05f8cc78922ae8b16895f97bf95",
         "exit": "0",
         "stdout": "c1cfd04bf606f427c1fad7ffbe773d0ba3c36fcc67d9502e5eea7155e6752c81",
         "store/audit.log": "9cf87e329a1fcdb2def5727add9ba9be6ee5aa56ec3308b666a03c2e01dab564",
-        "store/embeddings.bin": "47f7c84d2b4d17e268447573ab4ef78a3c3571ceab0c70c3caff9a32954fbf48",
-        "store/store.json": "9c0fa6266a1be36828a1d872945f2d705a2c134bddbb043c522a23a69f6cc189",
+        "store/embeddings-d61e7b0bf9fefe8934387424c428bdb716792f22e65823ba0dc1618c6f09a3eb.bin": "d61e7b0bf9fefe8934387424c428bdb716792f22e65823ba0dc1618c6f09a3eb",
+        "store/store.json": "32be172a041a15bcd55122bda56bf1e9dd9c04f03c9d8d045b966e892e1d290b",
     },
     "simulate --seed 3": {
         "events.jsonl": "9719f7f7116afe301161559413fdb32fafc1775ee39c7bb372d25b88e28c5512",
         "exit": "0",
         "stdout": "9c0ec62bf57fa504aed26e0a0ef7bc2d255b3dcefd184da34dc0905a69ed1815",
         "store/audit.log": "756d65ba16420a1182343d3ab1a040da94fcf1c187ebd663d3fd22f25799d549",
-        "store/embeddings.bin": "327068141fddc083fa3e6fa72422db089c5d138005322c8e7a61d2d086f07a12",
-        "store/store.json": "c4960450b3edc2565a15dc884e3d615790b4482f95524f50a90ea3039ff77825",
+        "store/embeddings-30cb01cfd26a3b69ed68b1468bbec739a9b8af602168ceb6f00ad50e1a66c19b.bin": "30cb01cfd26a3b69ed68b1468bbec739a9b8af602168ceb6f00ad50e1a66c19b",
+        "store/store.json": "b62e1dd0cc437a083d6358ac1c283e40da0dbc677bd0fa1f14acde93cee1b85e",
     },
     "simulate --seed 4": {
         "events.jsonl": "2dd4fa1a589d3da80c17d43629d519454358935309a9afc7a529b7cb6e825e00",
         "exit": "0",
         "stdout": "a56e8c3e6135c6362e2c8523829b7d2e65b7d940c8ee562006747eff7773df2f",
         "store/audit.log": "ba7e328b9b478fbfcdf6611c705883be3e531d010a976b6d1465d42259eb0fd4",
-        "store/embeddings.bin": "7a1b1a0601b7ddd7abac4879e213a60afd4d144da8ff746bade6f7fe97970c6e",
-        "store/store.json": "6cb28b0a282fe9bb9f3aa498f03b13755276ae7e8f60d0942a8cc94382f74cdb",
+        "store/embeddings-9ba909c4e357c9966b7c6ab10fd0664b75b81932bcc86f3c794ea7e0c9851df1.bin": "9ba909c4e357c9966b7c6ab10fd0664b75b81932bcc86f3c794ea7e0c9851df1",
+        "store/store.json": "14ab0f56864effa6b41ce23e46fa58ef425d5f22fea7610e650b023df9eb1b6b",
     },
     "synth --seed 0 --days 21": {
         "exit": "0",

@@ -190,6 +190,13 @@ class TestFilePipeline:
         assert code == 2
         assert "bad event line 2" in err
 
+    def test_replay_numbers_bad_lines_by_file_line(self, capsys, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"event": "tick"}\n\nnot json\n')
+        code, _, err = run_cli(capsys, "replay", str(path))
+        assert code == 2
+        assert err.startswith("error: bad event line 3: ")
+
     @pytest.mark.parametrize("line", ["[1, 2]", '"x"', "3", "null"])
     def test_replay_rejects_lines_that_are_not_objects(self, capsys, tmp_path, line):
         path = tmp_path / "events.jsonl"
@@ -270,7 +277,8 @@ class TestStoreInspect:
 
     def test_store_errors_are_reported_not_raised(self, capsys, tmp_path):
         _, path = self.persisted(tmp_path)
-        with open(path / "embeddings.bin", "ab") as fh:
+        sidecar = json.loads((path / "store.json").read_text())["embeddings_file"]
+        with open(path / sidecar, "ab") as fh:
             fh.write(b"\0")
         code, out, err = run_cli(capsys, "store", "inspect", "--dir", str(path))
         assert code == 2
@@ -281,8 +289,7 @@ class TestStoreInspect:
         "edit, cause",
         [
             (lambda m: m.pop("next_user"), "KeyError: 'next_user'"),
-            (lambda m: m["users"]["user_0001"]["keys"]["voice"].update(dim=255),
-             "EmbeddingShapeError"),
+            (lambda m: m["key_dims"].update(voice=255), "EmbeddingShapeError"),
             (None, "JSONDecodeError"),
         ],
         ids=["missing_key", "wrong_key_dim", "not_json"],

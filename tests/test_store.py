@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -33,6 +34,20 @@ def face(i):
 def voice(i):
     rng = np.random.default_rng(2000 + i)
     return Embedding(rng.normal(size=256), "voice")
+
+
+# A store written by memory-store/1: TestPersistence.populated(), persisted
+# to the relative path "store".
+FORMAT_1_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "store-v1")
+
+
+def manifest_of(target):
+    with open(os.path.join(target, "store.json")) as fh:
+        return json.load(fh)
+
+
+def sidecar_of(target):
+    return os.path.join(target, manifest_of(target)["embeddings_file"])
 
 
 def fresh_store(n_users=0):
@@ -69,7 +84,17 @@ class TestValueTypes:
         assert ExtractedMemory.from_payload(memory.to_payload()) == memory
 
     def test_update_resolution_payload_round_trip(self):
-        resolution = UpdateResolution(
+        payload = {
+            "target_user": "user_0001",
+            "base_version": 3,
+            "fact_appends": [{"text": "f", "timestamp": "t"}],
+            "summary_appends": [{"text": "s", "timestamp": "t"}],
+            "persona_updates": {"hometown": "Lyon"},
+            "replacements": [
+                {"slot": "hometown", "old": "Paris", "new": "Lyon", "reason": "moved"}
+            ],
+        }
+        assert UpdateResolution.from_payload(payload) == UpdateResolution(
             target_user="user_0001",
             base_version=3,
             fact_appends=(MemoryItem("f", "t"),),
@@ -77,7 +102,6 @@ class TestValueTypes:
             persona_updates={"hometown": "Lyon"},
             replacements=(PersonaReplacement("hometown", "Paris", "Lyon", "moved"),),
         )
-        assert UpdateResolution.from_payload(resolution.to_payload()) == resolution
 
     def test_profile_key_modalities_enforced(self):
         with pytest.raises(StoreError):
@@ -476,6 +500,13 @@ class TestPersistence:
         assert loaded == store
         assert loaded.lookup_user("user_0001").face_key == face(0)
 
+    def test_empty_store_round_trip(self, tmp_path):
+        store = MemoryStore()
+        target = str(tmp_path / "store")
+        for _ in range(2):
+            store.persist(target)
+            assert MemoryStore.load(target) == store
+
     def test_second_persist_overwrites(self, tmp_path):
         store = self.populated()
         target = str(tmp_path / "store")
@@ -514,7 +545,7 @@ class TestPersistence:
         store = self.populated()
         target = str(tmp_path / "store")
         store.persist(target)
-        sidecar = os.path.join(target, "embeddings.bin")
+        sidecar = sidecar_of(target)
         with open(sidecar, "r+b") as fh:
             fh.seek(10)
             byte = fh.read(1)
@@ -527,7 +558,7 @@ class TestPersistence:
         store = self.populated()
         target = str(tmp_path / "store")
         store.persist(target)
-        sidecar_path = os.path.join(target, "embeddings.bin")
+        sidecar_path = sidecar_of(target)
         with open(sidecar_path, "rb") as fh:
             data = fh.read()[:100]
         manifest_path = os.path.join(target, "store.json")
@@ -557,7 +588,7 @@ class TestPersistence:
     def test_wrong_key_dim_in_manifest_rejected(self, tmp_path):
         def edit(text):
             manifest = json.loads(text)
-            manifest["users"]["user_0002"]["keys"]["voice"]["dim"] = 255
+            manifest["key_dims"]["voice"] = 255
             return json.dumps(manifest)
 
         target = self.persisted_with_manifest(tmp_path, edit)
@@ -596,13 +627,90 @@ class TestPersistence:
             MemoryStore.load(target)
 
     def test_missing_audit_file_tolerated(self, tmp_path):
-        store = self.populated()
+        """memory-store/1 wrote its log last and without a length, so a
+        store of that format without one still loads."""
         target = str(tmp_path / "store")
-        store.persist(target)
+        shutil.copytree(FORMAT_1_FIXTURE, target)
         os.remove(os.path.join(target, "audit.log"))
         loaded = MemoryStore.load(target)
         assert loaded.audit_entries == ()
-        assert loaded.user_ids == store.user_ids
+        assert loaded.user_ids == self.populated().user_ids
+
+    def test_missing_audit_file_rejected(self, tmp_path):
+        target = str(tmp_path / "store")
+        self.populated().persist(target)
+        os.remove(os.path.join(target, manifest_of(target)["audit_file"]))
+        with pytest.raises(FileNotFoundError):
+            MemoryStore.load(target)
+
+    def test_format_1_fixture_loads_equal(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = self.populated()
+        store.persist("store")  # the fixture's last audit entry
+        assert manifest_of(FORMAT_1_FIXTURE)["format"] == "memory-store/1"
+        assert MemoryStore.load(FORMAT_1_FIXTURE) == store
+
+    def test_format_1_store_is_rewritten_in_place(self, tmp_path):
+        target = str(tmp_path / "store")
+        shutil.copytree(FORMAT_1_FIXTURE, target)
+        store = MemoryStore.load(target)
+        store.create_user(face(2), voice(2), ExtractedMemory(user_name="Ann"))
+        store.persist(target)
+        manifest = manifest_of(target)
+        assert manifest["format"] == "memory-store/2"
+        assert sorted(os.listdir(target)) == sorted(
+            ["store.json", manifest["embeddings_file"], manifest["audit_file"]]
+        )
+        assert MemoryStore.load(target) == store
+
+    def test_manifest_is_compact_and_names_its_files(self, tmp_path):
+        target = str(tmp_path / "store")
+        store = self.populated()
+        store.persist(target)
+        with open(os.path.join(target, "store.json")) as fh:
+            text = fh.read()
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, sort_keys=True)
+        assert manifest["key_rows"] == ["user_0001", "user_0002"]
+        assert manifest["key_dims"] == {"face": 512, "voice": 256}
+        assert "keys" not in manifest["users"]["user_0001"]
+        assert manifest["embeddings_file"] == f"embeddings-{manifest['embeddings_sha256']}.bin"
+        with open(sidecar_of(target), "rb") as fh:
+            rows = np.frombuffer(fh.read(), "<f4")
+        faces, voices = rows[:2 * 512].reshape(2, 512), rows[2 * 512:].reshape(2, 256)
+        assert np.array_equal(faces[1], np.float32(face(1).values))
+        assert np.array_equal(voices[0], np.float32(voice(0).values))
+        assert manifest["audit_file"] == "audit.log"
+        assert manifest["audit_bytes"] == os.path.getsize(os.path.join(target, "audit.log"))
+        assert sorted(os.listdir(target)) == sorted(
+            ["store.json", manifest["embeddings_file"], "audit.log"]
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["edges"].append(["user_0001", "friend", "user_0009"]),
+             "edge endpoint 'user_0009'"),
+            (lambda m: m["users"]["user_0001"]["persona"].update(shoe_size="9"),
+             "unknown persona slot 'shoe_size'"),
+            (lambda m: m["users"]["user_0002"].update(version=0), "versions start at 1"),
+            (lambda m: m.update(next_user=2), "next_user 2 is not above 'user_0002'"),
+            (lambda m: m["key_rows"].__setitem__(1, "user_0001"),
+             "key rows are not one row for each user"),
+            (lambda m: m.update(audit_bytes=m["audit_bytes"] + 1),
+             "audit log is shorter than its committed"),
+        ],
+        ids=["edge_endpoint", "persona_slot", "version", "next_user", "key_rows", "audit_length"],
+    )
+    def test_broken_invariant_rejected(self, tmp_path, edit, message):
+        def rewrite(text):
+            manifest = json.loads(text)
+            edit(manifest)
+            return json.dumps(manifest)
+
+        target = self.persisted_with_manifest(tmp_path, rewrite)
+        with pytest.raises(StoreError, match=message):
+            MemoryStore.load(target)
 
     def test_persist_is_audited(self, tmp_path):
         store = self.populated()

@@ -1,0 +1,201 @@
+"""Persist under faults: every write, fsync, rename, truncate and unlink that
+persist makes fails in turn, and load then returns the old store or the new
+one. Also the audit log's append-or-rewrite choice across stores that share
+a directory."""
+
+import errno
+import os
+import shutil
+
+import pytest
+
+from duplexmem import store as store_module
+from duplexmem.store import (
+    ExtractedMemory,
+    MemoryItem,
+    MemoryStore,
+    UpdateResolution,
+)
+from test_store import FORMAT_1_FIXTURE, face, manifest_of, voice
+from test_store import TestPersistence as _Persistence  # not collected twice
+
+FAULTED = ("pwrite", "ftruncate", "fsync", "replace", "unlink")
+
+
+class FaultyOs:
+    """The os module, with the fail_at-th call of a FAULTED function failing
+    (counted from 0). A failing pwrite first writes half its bytes."""
+
+    def __init__(self, fail_at=None):
+        self.fail_at = fail_at
+        self.calls = []
+
+    def __getattr__(self, name):
+        real = getattr(os, name)
+        if name not in FAULTED:
+            return real
+
+        def call(*args):
+            self.calls.append(name)
+            if len(self.calls) - 1 == self.fail_at:
+                if name == "pwrite":
+                    fd, data, offset = args
+                    real(fd, bytes(data[: len(data) // 2]), offset)
+                raise OSError(errno.EIO, f"injected fault at {name}")
+            return real(*args)
+
+        return call
+
+
+def grow(store, n):
+    """A new user and a profile update, so the sidecar and the log change."""
+    uid = store.create_user(face(10 + n), voice(10 + n), ExtractedMemory(user_name=f"new{n}"))
+    store.apply_profile_update(
+        uid, UpdateResolution(uid, 1, (MemoryItem(f"fact {n}", "2024-06-01"),))
+    )
+
+
+def scenario_fresh(target):
+    """Nothing in the directory yet."""
+    return _Persistence().populated()
+
+
+def scenario_append(target):
+    """The store loaded from the directory, grown: its log is appended to."""
+    _Persistence().populated().persist(target)
+    store = MemoryStore.load(target)
+    grow(store, 0)
+    return store
+
+
+def scenario_rewrite(target):
+    """Another store's files in the directory: the log is written afresh."""
+    other = _Persistence().populated()
+    grow(other, 1)
+    other.persist(target)
+    return _Persistence().populated()
+
+
+def scenario_format_1(target):
+    """A memory-store/1 directory, loaded, grown and persisted in place."""
+    shutil.copytree(FORMAT_1_FIXTURE, target)
+    store = MemoryStore.load(target)
+    grow(store, 2)
+    return store
+
+
+SCENARIOS = {
+    "fresh": scenario_fresh,
+    "append": scenario_append,
+    "rewrite": scenario_rewrite,
+    "format_1": scenario_format_1,
+}
+
+
+def persist_with(monkeypatch, store, target, faulty):
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "os", faulty)
+        store.persist(target)
+
+
+def clean_calls(monkeypatch, tmp_path, scenario):
+    target = str(tmp_path / "clean")
+    store = SCENARIOS[scenario](target)
+    faulty = FaultyOs()
+    persist_with(monkeypatch, store, target, faulty)
+    assert MemoryStore.load(target) == store
+    return faulty.calls
+
+
+def test_every_kind_of_call_is_faulted(monkeypatch, tmp_path):
+    calls = clean_calls(monkeypatch, tmp_path, "rewrite")
+    assert set(calls) == set(FAULTED)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_a_fault_anywhere_leaves_the_old_store_or_the_new_one(monkeypatch, tmp_path, scenario):
+    calls = clean_calls(monkeypatch, tmp_path, scenario)
+    outcomes = set()
+    for k, name in enumerate(calls):
+        target = str(tmp_path / f"fault{k}")
+        store = SCENARIOS[scenario](target)
+        old = MemoryStore.load(target) if os.path.exists(target) else None
+        with pytest.raises(OSError, match=f"injected fault at {name}"):
+            persist_with(monkeypatch, store, target, FaultyOs(fail_at=k))
+        try:
+            loaded = MemoryStore.load(target)
+        except FileNotFoundError:
+            assert old is None, f"fault at call {k} ({name}) lost the old store"
+            outcomes.add("none")
+        else:
+            assert loaded in (old, store), f"fault at call {k} ({name}): a third store"
+            outcomes.add("new" if loaded == store else "old")
+
+        # the same store persists again, cleanly, over what the fault left
+        store.persist(target)
+        assert MemoryStore.load(target) == store
+        manifest = manifest_of(target)
+        assert sorted(os.listdir(target)) == sorted(
+            ["store.json", manifest["embeddings_file"], manifest["audit_file"]]
+        )
+        log = os.path.join(target, manifest["audit_file"])
+        assert os.path.getsize(log) == manifest["audit_bytes"]
+    assert outcomes == ({"none", "new"} if scenario == "fresh" else {"old", "new"})
+
+
+def test_loaded_store_appends_to_its_log(tmp_path):
+    target = str(tmp_path / "store")
+    _Persistence().populated().persist(target)
+    log = os.path.join(target, "audit.log")
+    with open(log, "rb") as fh:
+        before = fh.read()
+    inode = os.stat(log).st_ino
+    store = MemoryStore.load(target)
+    grow(store, 0)
+    store.persist(target)
+    with open(log, "rb") as fh:
+        after = fh.read()
+    assert os.stat(log).st_ino == inode
+    assert after.startswith(before) and len(after) > len(before)
+    assert MemoryStore.load(target) == store
+
+
+def test_tail_past_committed_length_is_ignored_then_truncated(tmp_path):
+    target = str(tmp_path / "store")
+    _Persistence().populated().persist(target)
+    store = MemoryStore.load(target)
+    with open(os.path.join(target, "audit.log"), "ab") as fh:
+        fh.write(b'{"action": "half a')
+    assert MemoryStore.load(target) == store
+    store.persist(target)
+    assert os.path.getsize(os.path.join(target, "audit.log")) == manifest_of(target)["audit_bytes"]
+    assert MemoryStore.load(target) == store
+
+
+def test_changed_manifest_means_a_fresh_log(tmp_path):
+    target = str(tmp_path / "store")
+    _Persistence().populated().persist(target)
+    store = MemoryStore.load(target)
+    MemoryStore.load(target).persist(target)  # another writer moves the manifest on
+    grow(store, 0)
+    store.persist(target)
+    assert manifest_of(target)["audit_file"] == "audit-1.log"
+    assert MemoryStore.load(target) == store
+
+
+def test_stores_alternating_on_one_directory_each_round_trip(tmp_path):
+    """As the bench's rounds do: each round starts from one checkpoint and
+    persists night after night to one directory, then loads it back."""
+    checkpoint, night = str(tmp_path / "checkpoint"), str(tmp_path / "night")
+    _Persistence().populated().persist(checkpoint)
+    for round_ in range(3):
+        store = MemoryStore.load(checkpoint)
+        for night_ in range(3):
+            grow(store, 10 * round_ + night_)
+            store.persist(night)
+            restored = MemoryStore.load(night)
+            assert restored == store
+            manifest = manifest_of(night)
+            with open(os.path.join(night, manifest["audit_file"]), "rb") as fh:
+                assert len(fh.read()) == manifest["audit_bytes"]
+            store = restored
