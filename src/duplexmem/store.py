@@ -211,6 +211,34 @@ class UserProfile:
         object.__setattr__(self, "persona", dict(self.persona))
         object.__setattr__(self, "relation_edges", tuple(self.relation_edges))
 
+    @classmethod
+    def _of_record(
+        cls, user_id: str, face_key: Embedding, voice_key: Embedding, record: Mapping[str, Any]
+    ) -> "UserProfile":
+        """A profile from its manifest record (to_payload's form, read from
+        disk) and its key rows, with every check that record can fail; the
+        keys are KeyMatrix rows of the right modalities."""
+        version, name = record["version"], record["name"]
+        if type(version) is not int or version < 1:
+            raise StoreError(f"profile versions start at 1 and are integers, not {version!r}")
+        if type(name) is not str:
+            raise StoreError(f"profile names are strings, not {name!r}")
+        profile = object.__new__(cls)
+        profile.__dict__.update(  # frozen: the fields are set in place, once
+            user_id=user_id,
+            face_key=face_key,
+            voice_key=voice_key,
+            name=name,
+            facts=tuple([MemoryItem(i["text"], i["timestamp"]) for i in record["facts"]]),
+            dialog_summaries=tuple(
+                [MemoryItem(i["text"], i["timestamp"]) for i in record["dialog_summaries"]]
+            ),
+            persona=dict(record["persona"]),
+            relation_edges=(),
+            version=version,
+        )
+        return profile
+
     def to_payload(self) -> dict[str, Any]:
         """JSON form without the embedding keys (those ride the sidecar)."""
         return {
@@ -516,16 +544,16 @@ class MemoryStore:
         past the length that manifest records or goes to a new file. So a
         persist that stops anywhere leaves the old store or the new one for
         load. After it, persist deletes the files the new manifest no longer
-        names. The log is appended to when this store last loaded from or
-        persisted to this directory and the manifest there is unchanged
-        since; otherwise it is written afresh. One directory has one writer
-        at a time; concurrent persists of one store serialize on its writer
-        lock, and the last one wins.
+        names. Its own audit entry joins the store's entries at the commit,
+        so a persist that fails before it leaves no entry behind. The log is
+        appended to when this store last loaded from or persisted to this
+        directory and the manifest there is unchanged since; otherwise it is
+        written afresh. One directory has one writer at a time; concurrent
+        persists of one store serialize on its writer lock, and the last one
+        wins.
         """
         with self._lock:
-            self._audit.append(
-                {"action": "persist", "path": str(path), "store_version": self._store_version}
-            )
+            entry = {"action": "persist", "path": str(path), "store_version": self._store_version}
             os.makedirs(path, exist_ok=True)
             views = {kind: matrix.view() for kind, matrix in self._keys.items()}
             planes = [view.rows() for view in views.values()]  # face rows, then voice rows
@@ -538,7 +566,9 @@ class MemoryStore:
             manifest_path = os.path.join(path, _MANIFEST_FILE)
             fd, audit_file, entries, offset = self._open_log(path, _file_key(manifest_path))
             try:
-                new = "".join(json.dumps(e, sort_keys=True) + "\n" for e in self._audit[entries:])
+                new = "".join(
+                    json.dumps(e, sort_keys=True) + "\n" for e in [*self._audit[entries:], entry]
+                )
                 os.ftruncate(fd, offset)  # drop what a crashed persist appended
                 audit_bytes = _write(fd, new.encode("utf-8"), offset)
                 os.fsync(fd)
@@ -562,6 +592,7 @@ class MemoryStore:
             }
             _fsync_dir(path)  # the new names are durable before the manifest cites them
             _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True).encode("utf-8"))
+            self._audit.append(entry)
             self._disk = _Committed(
                 _file_key(manifest_path), audit_file, log_key, len(self._audit), audit_bytes
             )
@@ -604,8 +635,11 @@ class MemoryStore:
         A manifest, sidecar or audit log that cannot be read back raises
         StoreError, chained to the cause, and so does a store that breaks an
         invariant: an edge endpoint or key row that is no user, a persona
-        slot outside the schema, a version below 1, a user id at or above
-        next_user, or an audit log shorter than its committed length.
+        slot outside the schema, a profile version that is no int (bools are
+        not) or is below 1, a name that is no str, an empty fact or summary
+        text, a user id at or above next_user, or an audit log shorter than
+        its committed length. Each key plane goes into its KeyMatrix as one
+        (n, dim) array, and each profile is built straight from its record.
         """
         try:
             with open(os.path.join(path, _MANIFEST_FILE), "rb") as fh:
@@ -638,17 +672,8 @@ class MemoryStore:
                 if int(uid.removeprefix("user_")) >= store._next_user:
                     raise StoreError(f"next_user {store._next_user} is not above {uid!r}")
                 store._validate_persona(record["persona"])
-                store._users[uid] = UserProfile(
-                    user_id=uid,
-                    face_key=keys["face"][uid],
-                    voice_key=keys["voice"][uid],
-                    name=record["name"],
-                    facts=tuple(MemoryItem(i["text"], i["timestamp"]) for i in record["facts"]),
-                    dialog_summaries=tuple(
-                        MemoryItem(i["text"], i["timestamp"]) for i in record["dialog_summaries"]
-                    ),
-                    persona=record["persona"],  # the profile copies it
-                    version=record["version"],  # the profile checks it is at least 1
+                store._users[uid] = UserProfile._of_record(
+                    uid, keys["face"][uid], keys["voice"][uid], record
                 )
             for f, r, t in manifest["edges"]:
                 for endpoint in (f, t):
@@ -715,17 +740,17 @@ def _planes(
 
 def _format_1_rows(
     users: Mapping[str, Any], sidecar: bytes, matrices: Mapping[str, KeyMatrix]
-) -> dict[str, list[np.ndarray]]:
+) -> dict[str, np.ndarray]:
     """memory-store/1 keeps each user's key rows at an offset of its own."""
     planes = {}
-    for kind in matrices:
+    for kind, matrix in matrices.items():
         rows = []
         for record in users.values():
             start, dim = record["keys"][kind]["offset"], record["keys"][kind]["dim"]
             if start + dim * 4 > len(sidecar):
                 raise StoreChecksumError("embedding sidecar is truncated")
             rows.append(np.frombuffer(sidecar, "<f4", dim, start))
-        planes[kind] = rows
+        planes[kind] = np.array(rows, "<f4").reshape(len(rows), matrix.dim)
     return planes
 
 

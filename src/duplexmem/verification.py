@@ -211,51 +211,57 @@ class KeyMatrix:
             if key.modality != modality:
                 raise ModalityMismatchError(f"key for {user_id!r} has modality {key.modality!r}")
         matrix = cls(modality)
-        matrix.extend([user_id for user_id, _ in pairs], [key.values for _, key in pairs])
+        rows = np.array([key.values for _, key in pairs], np.float32)
+        # the reshape only turns no pairs into (0, dim): each key has its modality's dims
+        matrix.extend([user_id for user_id, _ in pairs], rows.reshape(len(pairs), matrix.dim))
         return matrix.view()
 
     def append(self, user_id: str, values: np.ndarray) -> Embedding:
         """Copy values into the next row; returns the row's read-only Embedding."""
         return self.extend([user_id], [values])[0]
 
-    def extend(self, user_ids: Sequence[str], values: Sequence[np.ndarray]) -> list[Embedding]:
-        """Copy values[i] into the next row for user_ids[i]; returns each row's
-        read-only Embedding. A row fails as Embedding fails on it, and then no
-        row is added. Each row is copied straight into its block, so loading a
-        store makes no second copy of all its keys."""
-        if len(values) != len(user_ids):
-            raise ValueError(f"{len(user_ids)} user ids for {len(values)} rows")
+    def extend(
+        self, user_ids: Sequence[str], values: np.ndarray | Sequence[np.ndarray]
+    ) -> list[Embedding]:
+        """Copy row i of the (n, dim) array values into the next row, for
+        user_ids[i]; returns each row's read-only Embedding. values may be
+        anything np.asarray makes such an array of. Any other shape raises
+        EmbeddingShapeError, and a row fails as Embedding fails on it; then no
+        row is added. Each block's rows are one slice copied straight from
+        values, so loading a store makes no second copy of all its keys."""
+        try:
+            values = np.asarray(values, dtype=np.float32)
+        except ValueError as exc:  # ragged rows, say
+            raise EmbeddingShapeError(f"{self.modality} key rows are no array: {exc}") from exc
+        if values.shape != (len(user_ids), self.dim):
+            raise EmbeddingShapeError(
+                f"{len(user_ids)} {self.modality} keys need shape "
+                f"({len(user_ids)}, {self.dim}), got {values.shape}"
+            )
         first, end = len(self._ids), len(self._ids) + len(user_ids)
         while self._capacity < end:
             size = max(_FIRST_BLOCK_ROWS, self._capacity)
             self._blocks.append((np.empty((size, self.dim), np.float32), np.empty(size)))
             self._capacity += size
         keys: list[Embedding] = []
-        rest = iter(values)
-        start = 0  # row number of the block's first row
+        start = done = 0  # row number of the block's first row; rows copied
         for rows, norms in self._blocks:
             lo, hi = max(first, start) - start, min(end, start + len(rows)) - start
             start += len(rows)
             if lo >= hi:
                 continue
-            for row, value in zip(rows[lo:hi], rest):
-                value = np.asarray(value, dtype=np.float32)
-                if value.shape != row.shape:
-                    raise EmbeddingShapeError(
-                        f"{self.modality} embeddings must have {self.dim} dims, "
-                        f"got shape {value.shape}"
-                    )
-                row[...] = value
+            block = rows[lo:hi]
+            block[...] = values[done:done + hi - lo]
+            done += hi - lo
             # np.linalg.norm of a float32 vector is the float32 sqrt of its own
             # dot product, so these are the norms Embedding computes
-            norm = np.sqrt(np.array([row.dot(row) for row in rows[lo:hi]], np.float32))
+            norm = np.sqrt(np.array([row.dot(row) for row in block], np.float32))
             if not np.all(np.isfinite(norm) & (norm != 0.0)):
                 raise EmbeddingShapeError("embedding norm must be positive and finite")
             norms[lo:hi] = norm
-            frozen = rows[lo:hi]
-            frozen.setflags(write=False)
+            block.setflags(write=False)
             keys += [
-                Embedding._of_row(row, self.modality, x) for row, x in zip(frozen, norm.tolist())
+                Embedding._of_row(row, self.modality, x) for row, x in zip(block, norm.tolist())
             ]
         self._keys += keys
         self._ids += user_ids  # last: the id count marks the rows in use

@@ -699,8 +699,21 @@ class TestPersistence:
              "key rows are not one row for each user"),
             (lambda m: m.update(audit_bytes=m["audit_bytes"] + 1),
              "audit log is shorter than its committed"),
+            (lambda m: m["users"]["user_0002"].update(version=1.5), "not 1.5"),
+            (lambda m: m["users"]["user_0002"].update(version=True), "not True"),
+            (lambda m: m["users"]["user_0001"].update(name=None), "names are strings, not None"),
+            (lambda m: m["users"]["user_0001"]["facts"][0].update(text=""),
+             "memory items carry non-empty text"),
+            (lambda m: m["users"]["user_0002"].pop("dialog_summaries"),
+             "KeyError: 'dialog_summaries'"),
+            (lambda m: m["users"]["user_0001"].update(persona=None), "TypeError"),
+            (lambda m: m["users"]["user_0001"].update(facts=["plays tennis"]), "TypeError"),
         ],
-        ids=["edge_endpoint", "persona_slot", "version", "next_user", "key_rows", "audit_length"],
+        ids=[
+            "edge_endpoint", "persona_slot", "version", "next_user", "key_rows", "audit_length",
+            "float_version", "bool_version", "null_name", "empty_fact", "no_summaries",
+            "null_persona", "bare_fact",
+        ],
     )
     def test_broken_invariant_rejected(self, tmp_path, edit, message):
         def rewrite(text):

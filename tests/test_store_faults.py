@@ -92,6 +92,10 @@ SCENARIOS = {
 }
 
 
+def persists(store):
+    return sum(entry["action"] == "persist" for entry in store.audit_entries)
+
+
 def persist_with(monkeypatch, store, target, faulty):
     with monkeypatch.context() as patch:
         patch.setattr(store_module, "os", faulty)
@@ -120,20 +124,26 @@ def test_a_fault_anywhere_leaves_the_old_store_or_the_new_one(monkeypatch, tmp_p
         target = str(tmp_path / f"fault{k}")
         store = SCENARIOS[scenario](target)
         old = MemoryStore.load(target) if os.path.exists(target) else None
+        persisted = persists(store)
         with pytest.raises(OSError, match=f"injected fault at {name}"):
             persist_with(monkeypatch, store, target, FaultyOs(fail_at=k))
         try:
             loaded = MemoryStore.load(target)
         except FileNotFoundError:
             assert old is None, f"fault at call {k} ({name}) lost the old store"
+            loaded_new = False
             outcomes.add("none")
         else:
             assert loaded in (old, store), f"fault at call {k} ({name}): a third store"
-            outcomes.add("new" if loaded == store else "old")
+            loaded_new = loaded == store
+            outcomes.add("new" if loaded_new else "old")
 
         # the same store persists again, cleanly, over what the fault left
         store.persist(target)
-        assert MemoryStore.load(target) == store
+        reloaded = MemoryStore.load(target)
+        assert reloaded == store
+        committed = 2 if loaded_new else 1  # the faulted persist's entry only if it committed
+        assert persists(reloaded) == persisted + committed, f"fault at call {k} ({name})"
         manifest = manifest_of(target)
         assert sorted(os.listdir(target)) == sorted(
             ["store.json", manifest["embeddings_file"], manifest["audit_file"]]

@@ -402,21 +402,39 @@ class TestKeyMatrixEquivalence:
         dim = 512 if modality == "face" else 256
         scales = [1e-15, 1e-3, 1.0, 3.0, 1e15]
         values = [rng.standard_normal(dim) * scales[i % len(scales)] for i in range(150)]
-        matrix = KeyMatrix(modality)
-        keys = matrix.extend([f"user_{i:04d}" for i in range(149)], values[:149])
-        keys.append(matrix.append("user_0149", values[149]))  # the extend fills three blocks
-        for key, value in zip(keys, values):
+        ids = [f"user_{i:04d}" for i in range(150)]
+        from_empty = KeyMatrix(modality)
+        keys = from_empty.extend(ids[:149], values[:149])
+        keys.append(from_empty.append(ids[149], values[149]))  # the extend fills three blocks
+        part_filled = KeyMatrix(modality)
+        again = [part_filled.append(ids[0], values[0])]
+        again += part_filled.extend(ids[1:], np.array(values[1:]))  # from inside the first block
+        for key, key_again, value in zip(keys, again, values):
             expected = Embedding(value, modality)
-            assert key == expected and key.norm == expected.norm
-            assert not key.values.flags.writeable
+            for got in (key, key_again):
+                assert got == expected and got.norm == expected.norm
+                assert not got.values.flags.writeable
+        assert [uid for uid, _ in part_filled.view()] == ids
 
     def test_rejected_row_adds_none(self):
         matrix = KeyMatrix("voice")
         matrix.append("user_0001", voice_vec(1).values)
-        bad_rows = ([np.zeros(256)], [np.full(256, np.inf)], [np.full(256, np.nan)], [np.ones(255)])
-        for bad in bad_rows:
+        good, two = voice_vec(2).values, ["user_0002", "user_0003"]
+        bad_inputs = (
+            (two, [good, np.zeros(256)]),
+            ([f"user_{i:04d}" for i in range(2, 66)], [good] * 63 + [np.zeros(256)]),  # 2nd block
+            (two, [good, np.full(256, np.inf)]),
+            (two, [good, np.full(256, np.nan)]),
+            (two, [good, np.ones(255)]),  # ragged
+            (two, np.ones((2, 255))),
+            (two, np.ones((2, 257))),
+            (two, np.ones((3, 256))),  # more rows than user ids
+            (two, np.ones((1, 256))),  # fewer
+            (two[:1], good),  # one row, not a (1, 256) array
+        )
+        for user_ids, values in bad_inputs:
             with pytest.raises(EmbeddingShapeError):
-                matrix.extend(["user_0002", "user_0003"], [voice_vec(2).values] + bad)
+                matrix.extend(user_ids, values)
         assert len(matrix.view()) == 1
         assert matrix.append("user_0002", voice_vec(2).values) == voice_vec(2)
         assert [uid for uid, _ in matrix.view()] == ["user_0001", "user_0002"]
