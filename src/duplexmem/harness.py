@@ -826,8 +826,8 @@ def eval_verification(n_seeds: int = 20, top_n: int = 200, seed: int = 0) -> Met
     norm_eers = []
     for bank_seed in range(seed, seed + n_seeds):
         raw, q_cohort, k_cohort = _constructed_verification_scores(bank_seed)
-        q_mean, q_std = np.array([_top_cohort_stats(row, top_n) for row in q_cohort]).T
-        k_mean, k_std = np.array([_top_cohort_stats(row, top_n) for row in k_cohort]).T
+        q_mean, q_std = _top_cohort_stats(q_cohort, top_n)
+        k_mean, k_std = _top_cohort_stats(k_cohort, top_n)
         normalized = _asnorm(raw, q_mean[:, None], q_std[:, None], k_mean, k_std)
         raw_pass = pass_at_k(_ranks_of_diagonal(raw), 1)
         norm_pass = pass_at_k(_ranks_of_diagonal(normalized), 1)

@@ -191,7 +191,8 @@ class KeyMatrix:
     many rows as all earlier ones), so an append moves no row and the
     Embedding handed out for a row stays a read-only view of it. Key-side
     AS-norm statistics depend only on a row and the key cohort; they are
-    cached for the last cohort used and extended as rows are appended.
+    cached for the last cohort used and extended, one block's new rows at a
+    time, when rows appended since are first asked for.
     """
 
     def __init__(self, modality: Modality):
@@ -273,20 +274,30 @@ class KeyMatrix:
     def key_stats(self, cohort: CohortSet, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Key-side AS-norm (mean, std) of the first n rows against a cohort.
 
-        Concurrent callers may compute the same rows twice; every copy of a
-        statistic is the same, so whichever result is cached last is right.
+        Rows not yet cached are scored a block at a time with one gemv per row,
+        as CohortSet.scores_against scores one key, so every statistic is bit
+        for bit the per-key one. A cohort of another dimension raises
+        EmbeddingShapeError; a degenerate row raises DegenerateCohortError and
+        caches nothing. Concurrent callers may compute the same rows twice;
+        every copy of a statistic is the same, so whichever result is cached
+        last is right.
         """
         cached = self._stats
         if cached is None or cached[0] is not cohort:
             cached = (cohort, np.empty(0), np.empty(0))
         _, means, stds = cached
         if len(means) < n:
-            new = [
-                _top_cohort_stats(cohort.scores_against(key), cohort.top_n)
-                for key in self._keys[len(means):n]
-            ]
-            means = np.concatenate((means, [m for m, _ in new]))
-            stds = np.concatenate((stds, [s for _, s in new]))
+            if cohort.unit_matrix.shape[1] != self.dim:
+                raise EmbeddingShapeError("key dimension does not match cohort")
+            parts, start = [(means, stds)], 0  # start: row number of the block's first row
+            for rows, norms in self._blocks:
+                lo, hi = max(len(means), start) - start, min(n, start + len(rows)) - start
+                start += len(rows)
+                if lo < hi:
+                    units = rows[lo:hi] / norms[lo:hi, None].astype(np.float32)
+                    scores = np.matmul(cohort.unit_matrix, units[:, :, None])[:, :, 0]
+                    parts.append(_top_cohort_stats(scores, cohort.top_n))
+            means, stds = (np.concatenate(part) for part in zip(*parts))
             self._stats = (cohort, means, stds)
         return means[:n], stds[:n]
 
@@ -389,39 +400,20 @@ def face_verify(
     return VerificationDecision("new_user", None, None, best_d, delta)
 
 
-def _top_cohort_stats(scores: Sequence[float] | np.ndarray, top_n: int) -> tuple[float, float]:
+def _top_cohort_stats(scores: np.ndarray, top_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of the top_n highest scores along the last axis."""
     arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1:
-        raise VerificationError("cohort scores must be a flat sequence")
-    if arr.shape[0] < top_n:
-        raise VerificationError(f"need at least top_n={top_n} cohort scores, got {arr.shape[0]}")
-    top = np.sort(arr)[::-1][:top_n]
-    mean = float(top.mean())
-    std = float(top.std())  # population std over the selected cohort
-    if std == 0.0:
+    if arr.ndim == 0 or arr.shape[-1] < top_n:
+        raise VerificationError(f"need top_n={top_n} cohort scores, got shape {arr.shape}")
+    top = np.sort(arr, axis=-1)[..., ::-1][..., :top_n]
+    mean, std = top.mean(-1), top.std(-1)
+    if np.any(std == 0.0):
         raise DegenerateCohortError("cohort score std is zero")
     return mean, std
 
 
 def _asnorm(raw, mean_q, std_q, mean_k, std_k):  # type: ignore[no-untyped-def]
     return 0.5 * ((raw - mean_q) / std_q + (raw - mean_k) / std_k)
-
-
-def asnorm_score(
-    raw_score: float,
-    query_cohort_scores: Sequence[float] | np.ndarray,
-    key_cohort_scores: Sequence[float] | np.ndarray,
-    top_n: int = DEFAULT_COHORT_TOP_N,
-) -> float:
-    """Adaptive s-norm: average of the two cohort-standardized scores.
-
-    Each side keeps only its top_n highest cohort scores, and the raw score is
-    standardized by that side's mean and population standard deviation. The
-    returned value is the mean of the two standardized scores.
-    """
-    mean_q, std_q = _top_cohort_stats(query_cohort_scores, top_n)
-    mean_k, std_k = _top_cohort_stats(key_cohort_scores, top_n)
-    return _asnorm(raw_score, mean_q, std_q, mean_k, std_k)
 
 
 def speaker_verify(
@@ -446,7 +438,7 @@ def speaker_verify(
     keys = _key_view(users, "voice")
     q_scores = query_cohort.scores_against(query)
     mean_k, std_k = keys.matrix.key_stats(key_cohort, len(keys))
-    mean_q, std_q = _top_cohort_stats(q_scores, query_cohort.top_n)
+    mean_q, std_q = map(float, _top_cohort_stats(q_scores, query_cohort.top_n))
     # asnorm is linear in the raw score with slope (1/std_q + 1/std_k) / 2
     screened = _asnorm(keys.similarities(query), mean_q, std_q, mean_k, std_k)
     err = 0.5 * SCREEN_EPS * (1.0 / std_q + 1.0 / std_k)

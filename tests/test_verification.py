@@ -1,13 +1,18 @@
 """Verification math against hand-derived and brute-force oracles."""
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duplexmem import verification
+from duplexmem.harness import cohort_sets, demo_scenario
+from duplexmem.store import MemoryStore, seed_profile
 from duplexmem.verification import (
+    DEFAULT_COHORT_TOP_N,
     DEFAULT_FACE_DELTA,
     DEFAULT_SPEAKER_THETA,
     CohortSet,
@@ -18,7 +23,7 @@ from duplexmem.verification import (
     ModalityMismatchError,
     VerificationDecision,
     VerificationError,
-    asnorm_score,
+    _asnorm,
     compute_eer,
     cosine_distance,
     cosine_similarity,
@@ -164,6 +169,38 @@ class TestFaceVerify:
 
 # --------------------------------------------------------------------------
 # adaptive s-norm
+
+
+def _top_cohort_stats(scores: Sequence[float] | np.ndarray, top_n: int) -> tuple[float, float]:
+    """The per-key statistic that KeyMatrix.key_stats replaced, kept verbatim."""
+    arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim != 1:
+        raise VerificationError("cohort scores must be a flat sequence")
+    if arr.shape[0] < top_n:
+        raise VerificationError(f"need at least top_n={top_n} cohort scores, got {arr.shape[0]}")
+    top = np.sort(arr)[::-1][:top_n]
+    mean = float(top.mean())
+    std = float(top.std())  # population std over the selected cohort
+    if std == 0.0:
+        raise DegenerateCohortError("cohort score std is zero")
+    return mean, std
+
+
+def asnorm_score(
+    raw_score: float,
+    query_cohort_scores: Sequence[float] | np.ndarray,
+    key_cohort_scores: Sequence[float] | np.ndarray,
+    top_n: int = DEFAULT_COHORT_TOP_N,
+) -> float:
+    """Adaptive s-norm: average of the two cohort-standardized scores.
+
+    Each side keeps only its top_n highest cohort scores, and the raw score is
+    standardized by that side's mean and population standard deviation. The
+    returned value is the mean of the two standardized scores.
+    """
+    mean_q, std_q = _top_cohort_stats(query_cohort_scores, top_n)
+    mean_k, std_k = _top_cohort_stats(key_cohort_scores, top_n)
+    return _asnorm(raw_score, mean_q, std_q, mean_k, std_k)
 
 
 class TestAsnorm:
@@ -454,6 +491,131 @@ class TestKeyMatrixEquivalence:
             reference_speaker_verify(voice_vec(0), users, query_cohort, key_cohort, 6.0)
         with pytest.raises(DegenerateCohortError):
             speaker_verify(voice_vec(0), users, query_cohort, key_cohort, 6.0)
+
+
+# --------------------------------------------------------------------------
+# key-side AS-norm statistics at the production shape
+
+
+@pytest.fixture(scope="module")
+def production_cohorts():
+    """The harness's query and key cohorts: 250 members each, top_n 200."""
+    return cohort_sets(demo_scenario())
+
+
+@pytest.fixture(scope="module")
+def crowd_rows():
+    rng = np.random.default_rng(11)
+    return [f"user_{i:04d}" for i in range(1001)], rng.standard_normal((1001, 256))
+
+
+def per_key_stats(matrix, cohort):
+    """(means, stds) of every row, one key at a time, as key_stats did."""
+    stats = [_top_cohort_stats(cohort.scores_against(k), cohort.top_n) for k in matrix._keys]
+    return tuple(np.array(column) for column in zip(*stats))
+
+
+def assert_stats_equal(got, expected):
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+class TestKeyStats:
+    def test_one_extend_equals_per_key(self, production_cohorts, crowd_rows):
+        _, cohort = production_cohorts
+        matrix = KeyMatrix("voice")
+        matrix.extend(*crowd_rows)  # as MemoryStore.load fills a matrix
+        assert_stats_equal(matrix.key_stats(cohort, 1001), per_key_stats(matrix, cohort))
+
+    def test_appends_equal_per_key(self, production_cohorts, crowd_rows):
+        _, cohort = production_cohorts
+        matrix = KeyMatrix("voice")
+        for user_id, values in zip(*crowd_rows):
+            matrix.append(user_id, values)
+        assert_stats_equal(matrix.key_stats(cohort, 1001), per_key_stats(matrix, cohort))
+
+    def test_cached_rows_are_not_scored_again(self, production_cohorts, crowd_rows, monkeypatch):
+        _, cohort = production_cohorts
+        ids, values = crowd_rows
+        matrix = KeyMatrix("voice")
+        matrix.extend(ids[:100], values[:100])
+        first = matrix.key_stats(cohort, 100)
+        for user_id, row in zip(ids[100:300], values[100:300]):  # past the 128 and 256 boundaries
+            matrix.append(user_id, row)
+        matrix.extend(ids[300:], values[300:])
+        scored = []
+        real = verification._top_cohort_stats
+
+        def spy(scores, top_n):
+            scored.append(scores)
+            return real(scores, top_n)
+
+        monkeypatch.setattr(verification, "_top_cohort_stats", spy)
+        got = matrix.key_stats(cohort, 1001)
+        expected = per_key_stats(matrix, cohort)
+        assert_stats_equal(got, expected)
+        assert_stats_equal(first, (expected[0][:100], expected[1][:100]))
+        new_rows = [cohort.scores_against(key) for key in matrix._keys[100:]]
+        assert np.array_equal(np.concatenate(scored), np.stack(new_rows))
+
+    def test_switched_cohort_equals_per_key(self, production_cohorts, crowd_rows):
+        query_cohort, key_cohort = production_cohorts
+        matrix = KeyMatrix("voice")
+        matrix.extend(*crowd_rows)
+        matrix.key_stats(key_cohort, 500)
+        for cohort in (query_cohort, key_cohort):
+            assert_stats_equal(matrix.key_stats(cohort, 1001), per_key_stats(matrix, cohort))
+
+    def test_cohort_of_another_dimension_raises(self):
+        matrix = KeyMatrix("voice")
+        matrix.extend(["user_0001", "user_0002"], [voice_vec(1).values, voice_vec(2).values])
+        face_cohort = CohortSet(tuple(face_vec(100 + i) for i in range(4)), top_n=2)
+        with pytest.raises(EmbeddingShapeError):
+            matrix.key_stats(face_cohort, 2)
+
+    def test_degenerate_row_raises_and_caches_nothing(self):
+        rng = np.random.default_rng(3)
+        members = np.zeros((8, 256))
+        members[:, :128] = rng.standard_normal((8, 128))
+        cohort = CohortSet(tuple(Embedding(m, "voice") for m in members), top_n=4)
+        matrix = KeyMatrix("voice")
+        matrix.extend([f"user_{i:04d}" for i in range(10)], rng.standard_normal((10, 256)))
+        means, stds = matrix.key_stats(cohort, 10)
+        before = matrix._stats
+        rows = rng.standard_normal((60, 256))
+        rows[56, :128] = 0.0  # row 66, in the second block: orthogonal to every member
+        matrix.extend([f"user_{i:04d}" for i in range(10, 70)], rows)
+        with pytest.raises(DegenerateCohortError):
+            matrix.key_stats(cohort, 70)
+        assert matrix._stats is before
+        assert_stats_equal(matrix.key_stats(cohort, 10), (means, stds))
+
+
+class TestDecisionsSurviveARoundTrip:
+    def test_speaker_decisions_equal_after_persist_and_load(self, production_cohorts, tmp_path):
+        query_cohort, key_cohort = production_cohorts
+        rng = np.random.default_rng(5)
+        voices = rng.standard_normal((70, 256))  # crosses the 64-row first block
+        store = MemoryStore()
+        for i, voice in enumerate(voices):
+            face = Embedding(rng.standard_normal(512), "face")
+            seed_profile(store, face, Embedding(voice, "voice"), f"Person {i}")
+        probes = [voices[i] + 0.05 * rng.standard_normal(256) for i in range(0, 70, 7)]
+        probes += [rng.standard_normal(256) for _ in range(5)]  # strangers
+        probes = [Embedding(p, "voice") for p in probes]
+
+        def decide(memory):
+            keys = memory.user_keys("voice")
+            return [speaker_verify(p, keys, query_cohort, key_cohort) for p in probes]
+
+        before = decide(store)
+        store.persist(str(tmp_path / "store"))
+        after = decide(MemoryStore.load(str(tmp_path / "store")))
+        assert after == before  # outcome, user id and bit-equal score and raw score
+        assert {d.outcome for d in before} == {"matched", "new_user"}
+        pairs = list(store.user_keys("voice"))
+        expected = [reference_speaker_verify(p, pairs, query_cohort, key_cohort,
+                                             DEFAULT_SPEAKER_THETA) for p in probes]
+        assert before == expected
 
 
 # --------------------------------------------------------------------------
