@@ -232,7 +232,7 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
                 "facts": len(profile.facts),
                 "summaries": len(profile.dialog_summaries),
                 "persona_slots_set": len(profile.persona),
-                "edges": len(profile.relation_edges),
+                "neighbors": len(store.connected_users(user_id)),
             }
         )
     payload = {"users": users, "audit_entries": len(store.audit_entries)}
@@ -244,7 +244,7 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
             lines.append(
                 f"{user['user_id']}  {user['name']:<16} v{user['version']}  "
                 f"{user['facts']} facts, {user['summaries']} summaries, "
-                f"{user['edges']} edges"
+                f"{user['neighbors']} neighbors"
             )
         _emit("\n".join(lines))
     return 0
@@ -338,7 +338,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, FileNotFoundError, StoreError) as exc:
+    except (CliError, OSError, StoreError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -18,6 +18,7 @@ counters.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
@@ -59,7 +60,9 @@ class AgentConfig:
     """Scalar knobs of the live loop.
 
     Step counts assume the stream's fixed 12.5 steps per second, so the
-    defaults poll every 2 seconds over a 2 second verification window.
+    defaults poll every 2 seconds over a 2 second verification window. The
+    step and capacity fields are ints and the two thresholds finite ints or
+    floats; bools are neither.
     """
 
     polling_interval_steps: int = 25
@@ -73,6 +76,13 @@ class AgentConfig:
     retrieval_top_k: int = 5
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = (int, float) if f.type == "float" else (int,)  # f.type is the annotation text
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
         for name in (
             "polling_interval_steps",
             "verification_window_steps",

@@ -1,18 +1,18 @@
 """Identity-keyed long-term memory store.
 
-Profiles are keyed by synthetic user ids and carry the face/voice keys used
-for verification, timestamped facts and dialog summaries, a sparse persona
-over a fixed slot schema, and a version counter. The social graph is a set of
-directed relation triplets whose endpoints must exist; neighborhood queries
-treat edges as undirected. Writes are serialized under a lock and always
-replace whole profile snapshots, so readers never observe partial updates
-and a snapshot handed out earlier never mutates.
+Profiles are keyed by synthetic user ids and carry a name, timestamped facts
+and dialog summaries, a sparse persona over a fixed slot schema, and a version
+counter. The social graph is a set of directed relation triplets whose
+endpoints must exist; neighborhood queries treat edges as undirected. Writes
+are serialized under a lock and always replace whole profile snapshots, so
+readers never observe partial updates and a snapshot handed out earlier never
+mutates.
 
-Face and voice keys are stored as rows of one append-only KeyMatrix per
-modality, in creation (or load) order. Those float32 rows are the only copy
-of the key values: each profile's face_key/voice_key is a read-only view of
-its row, and user_keys hands out a prefix view of the rows, so no view ever
-mutates. Rows are never changed or removed.
+A profile holds neither keys nor edges: each is kept in one place. Face and
+voice keys are rows of one append-only KeyMatrix per modality, in creation
+(or load) order, and user_keys hands out a prefix view of the rows, so no
+view ever mutates. Rows are never changed or removed. Edges live only in the
+graph.
 
 Persistence is a directory: a compact JSON manifest, a content-addressed
 sidecar holding the face key rows and then the voice key rows as float32
@@ -30,6 +30,7 @@ import logging
 import os
 import re
 import threading
+import types
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -192,32 +193,23 @@ class UserProfile:
     """Immutable snapshot of one user's memory."""
 
     user_id: str
-    face_key: Embedding
-    voice_key: Embedding
     name: str = UNKNOWN_USER_NAME
     facts: tuple[MemoryItem, ...] = ()
     dialog_summaries: tuple[MemoryItem, ...] = ()
-    persona: Mapping[str, str] = field(default_factory=dict)
-    relation_edges: tuple[RelationTriplet, ...] = ()
+    persona: Mapping[str, str] = field(default_factory=dict)  # kept as a read-only mapping
     version: int = 1
 
     def __post_init__(self) -> None:
-        if self.face_key.modality != "face" or self.voice_key.modality != "voice":
-            raise StoreError("profile keys must be a face and a voice embedding")
         if self.version < 1:
             raise StoreError("profile versions start at 1")
         object.__setattr__(self, "facts", tuple(self.facts))
         object.__setattr__(self, "dialog_summaries", tuple(self.dialog_summaries))
-        object.__setattr__(self, "persona", dict(self.persona))
-        object.__setattr__(self, "relation_edges", tuple(self.relation_edges))
+        object.__setattr__(self, "persona", types.MappingProxyType(dict(self.persona)))
 
     @classmethod
-    def _of_record(
-        cls, user_id: str, face_key: Embedding, voice_key: Embedding, record: Mapping[str, Any]
-    ) -> "UserProfile":
+    def _of_record(cls, user_id: str, record: Mapping[str, Any]) -> "UserProfile":
         """A profile from its manifest record (to_payload's form, read from
-        disk) and its key rows, with every check that record can fail; the
-        keys are KeyMatrix rows of the right modalities."""
+        disk), with every check that record can fail."""
         version, name = record["version"], record["name"]
         if type(version) is not int or version < 1:
             raise StoreError(f"profile versions start at 1 and are integers, not {version!r}")
@@ -226,21 +218,18 @@ class UserProfile:
         profile = object.__new__(cls)
         profile.__dict__.update(  # frozen: the fields are set in place, once
             user_id=user_id,
-            face_key=face_key,
-            voice_key=voice_key,
             name=name,
             facts=tuple([MemoryItem(i["text"], i["timestamp"]) for i in record["facts"]]),
             dialog_summaries=tuple(
                 [MemoryItem(i["text"], i["timestamp"]) for i in record["dialog_summaries"]]
             ),
-            persona=dict(record["persona"]),
-            relation_edges=(),
+            persona=types.MappingProxyType(dict(record["persona"])),
             version=version,
         )
         return profile
 
     def to_payload(self) -> dict[str, Any]:
-        """JSON form without the embedding keys (those ride the sidecar)."""
+        """The manifest's user record, which the update agent also receives."""
         return {
             "user_id": self.user_id,
             "name": self.name,
@@ -250,9 +239,6 @@ class UserProfile:
                 {"text": i.text, "timestamp": i.timestamp} for i in self.dialog_summaries
             ],
             "persona": dict(self.persona),
-            "relation_edges": [
-                [e.from_user, e.relation, e.to_user] for e in self.relation_edges
-            ],
         }
 
 
@@ -265,7 +251,7 @@ class MemoryStore:
         self._persona_slots = tuple(persona_slots)
         self._lock = threading.RLock()
         self._users: dict[str, UserProfile] = {}
-        self._edges: dict[tuple[str, str, str], RelationTriplet] = {}
+        self._edges: set[tuple[str, str, str]] = set()  # (from, relation, to)
         self._keys = {modality: KeyMatrix(modality) for modality in ("face", "voice")}
         self._audit: list[dict[str, Any]] = []
         self._store_version = 0
@@ -295,9 +281,9 @@ class MemoryStore:
     def lookup_user(self, user_id: str) -> UserProfile:
         with self._lock:
             profile = self._users.get(user_id)
-            if profile is None:
-                raise UnknownUserError(f"no user {user_id!r}")
-            return replace(profile, relation_edges=self._edges_of(user_id))
+        if profile is None:
+            raise UnknownUserError(f"no user {user_id!r}")
+        return profile
 
     def user_keys(self, modality: str) -> KeyView:
         """(user_id, key) pairs for one modality, sorted by user id: an
@@ -331,19 +317,12 @@ class MemoryStore:
             if user_id not in self._users:
                 raise UnknownUserError(f"no user {user_id!r}")
             pairs: set[tuple[str, str]] = set()
-            for edge in self._edges.values():
-                if edge.from_user == user_id:
-                    pairs.add((edge.to_user, edge.relation))
-                elif edge.to_user == user_id:
-                    pairs.add((edge.from_user, edge.relation))
+            for from_user, relation, to_user in self._edges:
+                if from_user == user_id:
+                    pairs.add((to_user, relation))
+                elif to_user == user_id:
+                    pairs.add((from_user, relation))
             return sorted(pairs)
-
-    def _edges_of(self, user_id: str) -> tuple[RelationTriplet, ...]:
-        return tuple(
-            edge
-            for edge in self._edges.values()
-            if user_id in (edge.from_user, edge.to_user)
-        )
 
     # -- write side ------------------------------------------------------
 
@@ -355,7 +334,10 @@ class MemoryStore:
         timestamp: str = "",
     ) -> str:
         """Create a profile from a first session. Duplicate identities (an
-        existing profile with an identical key) are allowed but logged."""
+        existing profile with an identical key) are allowed but logged. Keys
+        of the wrong modalities raise StoreError before any row is added."""
+        if face_key.modality != "face" or voice_key.modality != "voice":
+            raise StoreError("profile keys must be a face and a voice embedding")
         ts = timestamp or initial.session_timestamp
         with self._lock:
             self._validate_persona(initial.persona_trail)
@@ -367,20 +349,15 @@ class MemoryStore:
                 )
             user_id = f"user_{self._next_user:04d}"
             self._next_user += 1
+            self._keys["face"].append(user_id, face_key.values)
+            self._keys["voice"].append(user_id, voice_key.values)
             profile = UserProfile(
                 user_id=user_id,
-                face_key=face_key,
-                voice_key=voice_key,
                 name=initial.user_name or UNKNOWN_USER_NAME,
                 facts=tuple(MemoryItem(t, ts) for t in initial.user_facts),
                 dialog_summaries=tuple(MemoryItem(t, ts) for t in initial.summary_sentences),
-                persona=dict(initial.persona_trail),
+                persona=initial.persona_trail,
                 version=1,
-            )
-            profile = replace(
-                profile,
-                face_key=self._keys["face"].append(user_id, face_key.values),
-                voice_key=self._keys["voice"].append(user_id, voice_key.values),
             )
             self._users[user_id] = profile
             self._store_version += 1
@@ -395,7 +372,7 @@ class MemoryStore:
             )
             return user_id
 
-    def _duplicate_of(self, face_key: Embedding, voice_key: Embedding) -> str | None:
+    def _duplicate_of(self, face: Embedding, voice: Embedding) -> str | None:
         """The smallest user id with a key at cosine distance 0 from a new key.
 
         Distance 0 means a similarity of at least 1, so only rows screened
@@ -404,14 +381,14 @@ class MemoryStore:
         if not self._users:
             return None
         faces, voices = self._keys["face"].view(), self._keys["voice"].view()
-        near = (faces.similarities(face_key) >= 1.0 - SCREEN_EPS) | (
-            voices.similarities(voice_key) >= 1.0 - SCREEN_EPS
+        near = (faces.similarities(face) >= 1.0 - SCREEN_EPS) | (
+            voices.similarities(voice) >= 1.0 - SCREEN_EPS
         )
-        for _, uid, face in faces.in_id_order(near):
-            if (
-                cosine_distance(face_key, face) == 0.0
-                or cosine_distance(voice_key, self._users[uid].voice_key) == 0.0
-            ):
+        # both matrices hold the same ids in the same rows, so the pairs line up
+        for (_, uid, face_row), (_, _, voice_row) in zip(
+            faces.in_id_order(near), voices.in_id_order(near)
+        ):
+            if cosine_distance(face, face_row) == 0.0 or cosine_distance(voice, voice_row) == 0.0:
                 return uid
         return None
 
@@ -500,7 +477,7 @@ class MemoryStore:
                     raise UnknownUserError(f"edge endpoint {endpoint!r} does not exist")
             if key in self._edges:
                 return False
-            self._edges[key] = triplet
+            self._edges.add(key)
             self._store_version += 1
             self._audit.append(
                 {
@@ -525,7 +502,10 @@ class MemoryStore:
             return (
                 self._persona_slots == other._persona_slots
                 and self._users == other._users
-                and set(self._edges) == set(other._edges)
+                and all(
+                    list(self._keys[m].view()) == list(other._keys[m].view()) for m in self._keys
+                )
+                and self._edges == other._edges
                 and self._store_version == other._store_version
                 and self._next_user == other._next_user
                 and self._audit == other._audit
@@ -663,23 +643,20 @@ class MemoryStore:
                 ids, planes = manifest["key_rows"], _planes(sidecar, manifest, store._keys)
             if sorted(ids) != sorted(users):
                 raise StoreError("the key rows are not one row for each user")
-            keys = {
-                kind: dict(zip(ids, matrix.extend(ids, planes[kind])))
-                for kind, matrix in store._keys.items()
-            }
+            for kind, matrix in store._keys.items():
+                matrix.extend(ids, planes[kind])
             store._next_user = manifest["next_user"]
             for uid, record in users.items():
                 if int(uid.removeprefix("user_")) >= store._next_user:
                     raise StoreError(f"next_user {store._next_user} is not above {uid!r}")
                 store._validate_persona(record["persona"])
-                store._users[uid] = UserProfile._of_record(
-                    uid, keys["face"][uid], keys["voice"][uid], record
-                )
+                store._users[uid] = UserProfile._of_record(uid, record)
             for f, r, t in manifest["edges"]:
                 for endpoint in (f, t):
                     if endpoint not in users:
                         raise UnknownUserError(f"edge endpoint {endpoint!r} is no user")
-                store._edges[(f, r, t)] = RelationTriplet(f, r, t)
+                RelationTriplet(f, r, t)  # raises on a self loop or an empty label
+                store._edges.add((f, r, t))
             store._store_version = manifest["store_version"]
             if fmt == _FORMAT_1:
                 audit_path = os.path.join(path, _AUDIT_FILE)
@@ -786,8 +763,8 @@ def _fsync_dir(path: str) -> None:
 
 def seed_profile(
     store: MemoryStore,
-    face_key: Embedding,
-    voice_key: Embedding,
+    face: Embedding,
+    voice: Embedding,
     name: str,
     facts: Iterable[tuple[str, str]] = (),
     summaries: Iterable[tuple[str, str]] = (),
@@ -800,7 +777,7 @@ def seed_profile(
         persona_trail=persona or {},
         user_name=name,
     )
-    user_id = store.create_user(face_key, voice_key, initial)
+    user_id = store.create_user(face, voice, initial)
     fact_items = tuple(MemoryItem(text, ts) for text, ts in facts)
     summary_items = tuple(MemoryItem(text, ts) for text, ts in summaries)
     if fact_items or summary_items:

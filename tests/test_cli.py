@@ -112,6 +112,40 @@ class TestSimulate:
         assert code == 2
         assert "bad agent config" in err
 
+    @pytest.mark.parametrize(
+        "agent",
+        [
+            {"polling_interval_steps": True},
+            {"loss_ticks_to_clear": False},
+            {"retrieval_top_k": 2.5},
+            {"profile_capacity": "256"},
+            {"face_delta": "0.3"},
+            {"face_delta": True},
+            {"speaker_theta": float("nan")},
+            {"speaker_theta": float("inf")},
+        ],
+        ids=lambda agent: "-".join(f"{k}={v!r}" for k, v in agent.items()),
+    )
+    def test_agent_config_field_types(self, capsys, tmp_path, agent):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"agent": agent}))  # NaN and Infinity as json writes them
+        code, out, err = run_cli(capsys, "simulate", "--seed", "0", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad agent config: ")
+
+    def test_config_that_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "simulate", "--demo", "--config", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_out_that_is_a_file(self, capsys, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("")
+        code, out, err = run_cli(capsys, "simulate", "--seed", "0", "--out", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "File exists" in err
+        assert path.read_text() == ""
+
     def test_unknown_backend_kind_in_config(self, capsys, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"backends": {"mystery": "http://x"}}))
@@ -216,6 +250,11 @@ class TestFilePipeline:
         code, _, err = run_cli(capsys, "replay", str(tmp_path / "absent.jsonl"))
         assert code == 2
 
+    def test_replay_of_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "replay", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Is a directory" in err
+
 
 class TestEval:
     def test_single_suite_text(self, capsys):
@@ -271,9 +310,24 @@ class TestStoreInspect:
             "facts": len(first.facts),
             "summaries": len(first.dialog_summaries),
             "persona_slots_set": len(first.persona),
-            "edges": len(first.relation_edges),
+            "neighbors": len(store.connected_users(first.user_id)),
         }
         assert payload["audit_entries"] == len(store.audit_entries)
+
+    def test_text_lists_neighbors(self, capsys, tmp_path):
+        store, path = self.persisted(tmp_path)
+        code, out, _ = run_cli(capsys, "store", "inspect", "--dir", str(path))
+        assert code == 0
+        for line, uid in zip(out.splitlines()[1:], store.user_ids, strict=True):
+            assert line.startswith(uid)
+            assert line.endswith(f", {len(store.connected_users(uid))} neighbors")
+
+    def test_dir_that_is_a_file(self, capsys, tmp_path):
+        path = tmp_path / "store"
+        path.write_text("")
+        code, out, err = run_cli(capsys, "store", "inspect", "--dir", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Not a directory" in err
 
     def test_store_errors_are_reported_not_raised(self, capsys, tmp_path):
         _, path = self.persisted(tmp_path)

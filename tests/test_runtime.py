@@ -126,6 +126,38 @@ class TestAgentConfig:
             AgentConfig(retrieval_capacity=257)
         assert AgentConfig(retrieval_capacity=256).retrieval_capacity == 256
 
+    STEP_FIELDS = (
+        "polling_interval_steps",
+        "verification_window_steps",
+        "management_interval_steps",
+        "profile_capacity",
+        "retrieval_capacity",
+        "loss_ticks_to_clear",
+        "retrieval_top_k",
+    )
+
+    @pytest.mark.parametrize("field", STEP_FIELDS)
+    @pytest.mark.parametrize("value", [True, 2.5, 25.0, "25", None])
+    def test_step_fields_are_ints(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            config_from_mapping({field: value})
+
+    @pytest.mark.parametrize("field", ["face_delta", "speaker_theta"])
+    @pytest.mark.parametrize("value", [True, False, "0.3", None, [0.3]])
+    def test_thresholds_are_numbers(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            config_from_mapping({field: value})
+
+    @pytest.mark.parametrize("field", ["face_delta", "speaker_theta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_thresholds_are_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            config_from_mapping({field: value})
+
+    def test_int_thresholds_are_accepted(self):
+        config = config_from_mapping({"face_delta": 1, "speaker_theta": 6})
+        assert (config.face_delta, config.speaker_theta) == (1, 6)
+
     def test_mapping_round_trip(self):
         config = config_from_mapping({"retrieval_top_k": 3, "face_delta": 0.4})
         assert config.retrieval_top_k == 3

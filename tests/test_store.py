@@ -103,13 +103,9 @@ class TestValueTypes:
             replacements=(PersonaReplacement("hometown", "Paris", "Lyon", "moved"),),
         )
 
-    def test_profile_key_modalities_enforced(self):
+    def test_profile_versions_start_at_one(self):
         with pytest.raises(StoreError):
-            UserProfile("u", voice(0), voice(0))
-        with pytest.raises(StoreError):
-            UserProfile("u", face(0), face(0))
-        with pytest.raises(StoreError):
-            UserProfile("u", face(0), voice(0), version=0)
+            UserProfile("u", version=0)
 
 
 class TestCreateAndLookup:
@@ -128,6 +124,28 @@ class TestCreateAndLookup:
         store = MemoryStore()
         uid = store.create_user(face(0), voice(0), ExtractedMemory(user_name=""))
         assert store.lookup_user(uid).name == "unknown_user"
+
+    @pytest.mark.parametrize(
+        "keys",
+        [(voice(0), face(0)), (face(0), face(1)), (voice(0), voice(1))],
+        ids=["swapped", "two_faces", "two_voices"],
+    )
+    def test_create_user_rejects_swapped_modalities(self, keys):
+        store, ids = fresh_store(2)
+        version = store.store_version
+        with pytest.raises(StoreError, match="face and a voice"):
+            store.create_user(*keys, ExtractedMemory(user_name="swapped"))
+        assert len(store.user_keys("face")) == len(store.user_keys("voice")) == 2
+        assert (store.user_ids, store.store_version) == (tuple(ids), version)
+
+    def test_lookup_persona_is_read_only(self):
+        store = MemoryStore()
+        uid = store.create_user(
+            face(0), voice(0), ExtractedMemory(persona_trail={"hometown": "Lyon"})
+        )
+        with pytest.raises(TypeError):
+            store.lookup_user(uid).persona["hometown"] = "Oslo"  # type: ignore[index]
+        assert store.lookup_user(uid).persona == {"hometown": "Lyon"}
 
     def test_unknown_user_lookup(self):
         store, _ = fresh_store(1)
@@ -192,14 +210,13 @@ class TestCreateAndLookup:
         store, ids = fresh_store(3)
         keys = store.user_keys("face")
         assert [uid for uid, _ in keys] == ids
-        assert keys[1][1] == store.lookup_user(ids[1]).face_key
+        assert keys[1][1] == face(1)
         with pytest.raises(StoreError):
             store.user_keys("text")
 
     def test_user_keys_view_never_changes(self, tmp_path):
         store, ids = fresh_store(3)
         faces, voices = store.user_keys("face"), store.user_keys("voice")
-        expected = [(uid, store.lookup_user(uid)) for uid in ids]
         # enough users to fill the first block of rows and start another
         for i in range(3, 80):
             store.create_user(face(i), voice(i), ExtractedMemory(user_name=f"p{i}"))
@@ -207,11 +224,10 @@ class TestCreateAndLookup:
             ids[1], UpdateResolution(ids[1], 1, fact_appends=(MemoryItem("f", "t"),))
         )
         assert len(faces) == len(voices) == 3
-        assert list(faces) == [(uid, p.face_key) for uid, p in expected]
-        assert list(voices) == [(uid, p.voice_key) for uid, p in expected]
-        assert face(1) == faces[1][1] and voice(1) == voices[1][1]
+        assert list(faces) == [(uid, face(i)) for i, uid in enumerate(ids)]
+        assert list(voices) == [(uid, voice(i)) for i, uid in enumerate(ids)]
         assert len(store.user_keys("face")) == 80
-        key = store.lookup_user(ids[0]).face_key.values
+        key = store.user_keys("face")[0][1].values
         assert not key.flags.writeable and key.base is not None  # a view of its row
 
         store.persist(str(tmp_path / "s"))
@@ -432,13 +448,18 @@ class TestSocialGraph:
         with pytest.raises(UnknownUserError):
             store.connected_users("user_0050")
 
-    def test_lookup_includes_live_edges(self):
-        store, ids = fresh_store(2)
-        assert store.lookup_user(ids[0]).relation_edges == ()
-        edge = RelationTriplet(ids[0], "friend", ids[1])
-        store.add_relation_edge(edge)
-        assert edge in store.lookup_user(ids[0]).relation_edges
-        assert edge in store.lookup_user(ids[1]).relation_edges
+    def test_neighbors_survive_persist_and_load(self, tmp_path):
+        store, ids = fresh_store(4)
+        edges = [(3, "mentor", 0), (0, "friend", 1), (2, "friend", 0), (1, "friend", 0)]
+        for f, relation, t in edges:
+            store.add_relation_edge(RelationTriplet(ids[f], relation, ids[t]))
+        store.persist(str(tmp_path / "s"))
+        loaded = MemoryStore.load(str(tmp_path / "s"))
+        for uid in ids:
+            assert loaded.connected_users(uid) == store.connected_users(uid)
+        assert loaded.connected_users(ids[0]) == [
+            (ids[1], "friend"), (ids[2], "friend"), (ids[3], "mentor")
+        ]
 
 
 class TestNameDirectory:
@@ -498,7 +519,16 @@ class TestPersistence:
         store.persist(target)
         loaded = MemoryStore.load(target)
         assert loaded == store
-        assert loaded.lookup_user("user_0001").face_key == face(0)
+        assert dict(loaded.user_keys("face"))["user_0001"] == face(0)
+
+    def test_stores_differing_in_one_face_key_are_unequal(self):
+        def built(second_face):
+            store, _ = fresh_store(1)
+            store.create_user(second_face, voice(1), ExtractedMemory(user_name="same"))
+            return store
+
+        assert built(face(1)) == built(face(1))
+        assert built(face(1)) != built(face(2))
 
     def test_empty_store_round_trip(self, tmp_path):
         store = MemoryStore()
@@ -534,6 +564,18 @@ class TestPersistence:
 
     def test_manifest_with_empty_aux_list_loads(self, tmp_path):
         store, target = self.persisted_with_aux(tmp_path, [])
+        assert MemoryStore.load(target) == store
+
+    def test_user_records_with_relation_edges_load(self, tmp_path):
+        """Older memory-store/2 user records carry "relation_edges": []."""
+        store = self.populated()
+        target = str(tmp_path / "store")
+        store.persist(target)
+        manifest = manifest_of(target)
+        for record in manifest["users"].values():
+            record["relation_edges"] = []
+        with open(os.path.join(target, "store.json"), "w") as fh:
+            json.dump(manifest, fh, sort_keys=True)
         assert MemoryStore.load(target) == store
 
     def test_manifest_with_aux_documents_rejected(self, tmp_path):
