@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .retrieval import tokenize
-from .verification import FACE_DIM, VOICE_DIM, Embedding, EmbeddingShapeError
+from .verification import FACE_DIM, MODALITY_DIMS, VOICE_DIM, Embedding, EmbeddingShapeError
 
 BACKEND_KINDS = (
     "face_encoder",
@@ -104,11 +104,12 @@ class IdentitySeed:
             raise ValueError("noise_scale must be in [0, 1)")
 
     def base_vector(self, modality: str) -> np.ndarray:
-        dim = _modality_dim(modality)
+        if modality not in MODALITY_DIMS:
+            raise ValueError(f"no identity vectors for modality {modality!r}")
         rng = np.random.default_rng(
             stable_seed(self.vector_seed, self.identity_id, modality, "base")
         )
-        vec = rng.standard_normal(dim)
+        vec = rng.standard_normal(MODALITY_DIMS[modality])
         return (vec / np.linalg.norm(vec)).astype(np.float32)
 
     def observe(self, modality: str, sample_index: int) -> np.ndarray:
@@ -141,14 +142,6 @@ class IdentitySeed:
             vector_seed=int(payload["vector_seed"]),
             noise_scale=float(payload.get("noise_scale", DEFAULT_NOISE_SCALE)),
         )
-
-
-def _modality_dim(modality: str) -> int:
-    if modality == "face":
-        return FACE_DIM
-    if modality == "voice":
-        return VOICE_DIM
-    raise ValueError(f"no identity vectors for modality {modality!r}")
 
 
 # --------------------------------------------------------------------------

@@ -1180,8 +1180,7 @@ def eval_streams(n_scenarios: int = 100, seed: int = 0) -> MetricsTable:
 
         labels = TagSequence(tag_masks[0].mask)
         recovered = extract_sessions(labels).spans
-        gold = [SessionSpan(d.session_span[0], d.session_span[1] - 1) for d in scripts]
-        if span_match_at_n(recovered, gold, 0).f1 == 1.0:
+        if span_match_at_n(recovered, truth_spans(built), 0).f1 == 1.0:
             tags_ok += 1
 
     def rate(x: int) -> float:

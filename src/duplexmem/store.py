@@ -615,11 +615,12 @@ class MemoryStore:
         A manifest, sidecar or audit log that cannot be read back raises
         StoreError, chained to the cause, and so does a store that breaks an
         invariant: an edge endpoint or key row that is no user, a persona
-        slot outside the schema, a profile version that is no int (bools are
-        not) or is below 1, a name that is no str, an empty fact or summary
-        text, a user id at or above next_user, or an audit log shorter than
-        its committed length. Each key plane goes into its KeyMatrix as one
-        (n, dim) array, and each profile is built straight from its record.
+        slot outside the schema, a profile version or next_user below 1, a
+        store_version below 0, any of these three that is no int (bools are
+        not), a name that is no str, an empty fact or summary text, a user id
+        at or above next_user, or an audit log shorter than its committed
+        length. Each key plane goes into its KeyMatrix as one (n, dim) array,
+        and each profile is built straight from its record.
         """
         try:
             with open(os.path.join(path, _MANIFEST_FILE), "rb") as fh:
@@ -645,7 +646,12 @@ class MemoryStore:
                 raise StoreError("the key rows are not one row for each user")
             for kind, matrix in store._keys.items():
                 matrix.extend(ids, planes[kind])
+            for name, least in (("next_user", 1), ("store_version", 0)):
+                value = manifest[name]
+                if type(value) is not int or value < least:
+                    raise StoreError(f"{name} is an integer of at least {least}, not {value!r}")
             store._next_user = manifest["next_user"]
+            store._store_version = manifest["store_version"]
             for uid, record in users.items():
                 if int(uid.removeprefix("user_")) >= store._next_user:
                     raise StoreError(f"next_user {store._next_user} is not above {uid!r}")
@@ -657,7 +663,6 @@ class MemoryStore:
                         raise UnknownUserError(f"edge endpoint {endpoint!r} is no user")
                 RelationTriplet(f, r, t)  # raises on a self loop or an empty label
                 store._edges.add((f, r, t))
-            store._store_version = manifest["store_version"]
             if fmt == _FORMAT_1:
                 audit_path = os.path.join(path, _AUDIT_FILE)
                 if os.path.exists(audit_path):

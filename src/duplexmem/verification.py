@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ DEFAULT_COHORT_TOP_N = 200
 # and of the AS-norm arithmetic adds a few ulps, far inside the margin. 1e-3
 # keeps a margin of 16x over the whole gap and 32x over gamma_512.
 SCREEN_EPS = 1e-3
-_FIRST_BLOCK_ROWS = 64
 
 Modality = Literal["face", "voice", "text"]
 
@@ -90,8 +89,8 @@ class Embedding:
 
     @classmethod
     def _of_row(cls, values: np.ndarray, modality: Modality, norm: float) -> "Embedding":
-        """A read-only key row that KeyMatrix.extend has checked and normed
-        exactly as __post_init__ does."""
+        """A read-only row of a KeyMatrix, whose norm KeyMatrix.extend took
+        and checked exactly as __post_init__ does."""
         key = object.__new__(cls)
         fields = key.__dict__  # frozen: the fields are set in place, once
         fields["values"], fields["modality"], fields["_norm"] = values, modality, norm
@@ -187,21 +186,21 @@ class VerificationDecision:
 class KeyMatrix:
     """Append-only float32 key rows of one modality, each with its user id.
 
-    Rows sit in blocks that are never reallocated (each new block holds as
-    many rows as all earlier ones), so an append moves no row and the
-    Embedding handed out for a row stays a read-only view of it. Key-side
-    AS-norm statistics depend only on a row and the key cohort; they are
-    cached for the last cohort used and extended, one block's new rows at a
-    time, when rows appended since are first asked for.
+    The rows and their float64 norms sit in one array each, with spare rows
+    at the end. An extend that does not fit copies the rows in use into
+    larger arrays, swaps both in as one tuple and only then adds the new
+    ids, so a KeyView (the first n rows) always reads a complete prefix. A
+    row's Embedding is built when asked for, by key. Key-side AS-norm
+    statistics depend only on a row and the key cohort; they are cached for
+    the last cohort used and extended when rows appended since are first
+    asked for.
     """
 
     def __init__(self, modality: Modality):
         self.modality = modality
         self.dim = MODALITY_DIMS[modality]
-        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (rows, float64 norms)
-        self._capacity = 0
+        self._data = (np.empty((0, self.dim), np.float32), np.empty(0))  # rows, float64 norms
         self._ids: list[str] = []
-        self._keys: list[Embedding] = []
         self._stats: tuple[CohortSet, np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -217,21 +216,19 @@ class KeyMatrix:
         matrix.extend([user_id for user_id, _ in pairs], rows.reshape(len(pairs), matrix.dim))
         return matrix.view()
 
-    def append(self, user_id: str, values: np.ndarray) -> Embedding:
-        """Copy values into the next row; returns the row's read-only Embedding."""
-        return self.extend([user_id], [values])[0]
+    def append(self, user_id: str, values: np.ndarray) -> None:
+        """Copy values into the next row."""
+        self.extend([user_id], [values])
 
-    def extend(
-        self, user_ids: Sequence[str], values: np.ndarray | Sequence[np.ndarray]
-    ) -> list[Embedding]:
+    def extend(self, user_ids: Sequence[str], values: np.ndarray | Sequence[np.ndarray]) -> None:
         """Copy row i of the (n, dim) array values into the next row, for
-        user_ids[i]; returns each row's read-only Embedding. values may be
-        anything np.asarray makes such an array of. Any other shape raises
-        EmbeddingShapeError, and a row fails as Embedding fails on it; then no
-        row is added. Each block's rows are one slice copied straight from
+        user_ids[i]. values may be anything np.asarray makes such an array
+        of. Any other shape raises EmbeddingShapeError, and a row fails as
+        Embedding fails on it; both are checked before anything is written,
+        so then no row is added. The rows are one slice copied straight from
         values, so loading a store makes no second copy of all its keys."""
         try:
-            values = np.asarray(values, dtype=np.float32)
+            values = np.ascontiguousarray(values, dtype=np.float32)
         except ValueError as exc:  # ragged rows, say
             raise EmbeddingShapeError(f"{self.modality} key rows are no array: {exc}") from exc
         if values.shape != (len(user_ids), self.dim):
@@ -239,34 +236,27 @@ class KeyMatrix:
                 f"{len(user_ids)} {self.modality} keys need shape "
                 f"({len(user_ids)}, {self.dim}), got {values.shape}"
             )
+        # np.linalg.norm of a float32 vector is the float32 sqrt of its own
+        # dot product, so these are the norms Embedding computes
+        norms = np.sqrt(np.array([row.dot(row) for row in values], np.float32))
+        if not np.all(np.isfinite(norms) & (norms != 0.0)):
+            raise EmbeddingShapeError("embedding norm must be positive and finite")
         first, end = len(self._ids), len(self._ids) + len(user_ids)
-        while self._capacity < end:
-            size = max(_FIRST_BLOCK_ROWS, self._capacity)
-            self._blocks.append((np.empty((size, self.dim), np.float32), np.empty(size)))
-            self._capacity += size
-        keys: list[Embedding] = []
-        start = done = 0  # row number of the block's first row; rows copied
-        for rows, norms in self._blocks:
-            lo, hi = max(first, start) - start, min(end, start + len(rows)) - start
-            start += len(rows)
-            if lo >= hi:
-                continue
-            block = rows[lo:hi]
-            block[...] = values[done:done + hi - lo]
-            done += hi - lo
-            # np.linalg.norm of a float32 vector is the float32 sqrt of its own
-            # dot product, so these are the norms Embedding computes
-            norm = np.sqrt(np.array([row.dot(row) for row in block], np.float32))
-            if not np.all(np.isfinite(norm) & (norm != 0.0)):
-                raise EmbeddingShapeError("embedding norm must be positive and finite")
-            norms[lo:hi] = norm
-            block.setflags(write=False)
-            keys += [
-                Embedding._of_row(row, self.modality, x) for row, x in zip(block, norm.tolist())
-            ]
-        self._keys += keys
+        rows, row_norms = self._data
+        if end > len(rows):
+            size = max(2 * len(rows), end + 64)
+            grown = np.empty((size, self.dim), np.float32), np.empty(size)
+            grown[0][:first], grown[1][:first] = rows[:first], row_norms[:first]
+            self._data = rows, row_norms = grown
+        rows[first:end], row_norms[first:end] = values, norms
         self._ids += user_ids  # last: the id count marks the rows in use
-        return keys
+
+    def key(self, row: int) -> Embedding:
+        """The row's key: a read-only Embedding viewing it."""
+        rows, norms = self._data
+        values = rows[row]
+        values.setflags(write=False)  # this view only: extend writes rows past the ids
+        return Embedding._of_row(values, self.modality, float(norms[row]))
 
     def view(self) -> "KeyView":
         return KeyView(self, len(self._ids))
@@ -274,8 +264,8 @@ class KeyMatrix:
     def key_stats(self, cohort: CohortSet, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Key-side AS-norm (mean, std) of the first n rows against a cohort.
 
-        Rows not yet cached are scored a block at a time with one gemv per row,
-        as CohortSet.scores_against scores one key, so every statistic is bit
+        Rows not yet cached are scored as one slice with one gemv per row, as
+        CohortSet.scores_against scores one key, so every statistic is bit
         for bit the per-key one. A cohort of another dimension raises
         EmbeddingShapeError; a degenerate row raises DegenerateCohortError and
         caches nothing. Concurrent callers may compute the same rows twice;
@@ -289,15 +279,11 @@ class KeyMatrix:
         if len(means) < n:
             if cohort.unit_matrix.shape[1] != self.dim:
                 raise EmbeddingShapeError("key dimension does not match cohort")
-            parts, start = [(means, stds)], 0  # start: row number of the block's first row
-            for rows, norms in self._blocks:
-                lo, hi = max(len(means), start) - start, min(n, start + len(rows)) - start
-                start += len(rows)
-                if lo < hi:
-                    units = rows[lo:hi] / norms[lo:hi, None].astype(np.float32)
-                    scores = np.matmul(cohort.unit_matrix, units[:, :, None])[:, :, 0]
-                    parts.append(_top_cohort_stats(scores, cohort.top_n))
-            means, stds = (np.concatenate(part) for part in zip(*parts))
+            rows, norms = self._data
+            units = rows[len(means):n] / norms[len(means):n, None].astype(np.float32)
+            scores = np.matmul(cohort.unit_matrix, units[:, :, None])[:, :, 0]
+            new_means, new_stds = _top_cohort_stats(scores, cohort.top_n)
+            means, stds = np.concatenate([means, new_means]), np.concatenate([stds, new_stds])
             self._stats = (cohort, means, stds)
         return means[:n], stds[:n]
 
@@ -322,9 +308,9 @@ class KeyView(Sequence[tuple[str, Embedding]]):
 
     def in_id_order(self, mask: np.ndarray) -> list[tuple[int, str, Embedding]]:
         """(row, user_id, key) where mask holds, by user id, then by row."""
-        ids, keys = self.matrix._ids, self.matrix._keys
+        ids, key = self.matrix._ids, self.matrix.key
         rows = sorted(np.flatnonzero(mask).tolist(), key=lambda r: (ids[r], r))
-        return [(r, ids[r], keys[r]) for r in rows]
+        return [(r, ids[r], key(r)) for r in rows]
 
     @property
     def ids(self) -> list[str]:
@@ -332,29 +318,18 @@ class KeyView(Sequence[tuple[str, Embedding]]):
         return self.matrix._ids[:self._n]
 
     def rows(self) -> np.ndarray:
-        """A little-endian float32 copy of the rows, in row order."""
-        return np.concatenate(
-            [np.empty((0, self.matrix.dim), "<f4")] + [rows for rows, _ in self._blocks()],
-            dtype="<f4",
-        )
-
-    def _blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(rows, norms) of each block, cut to the view's rows."""
-        left = self._n
-        for rows, norms in self.matrix._blocks:
-            if left <= 0:
-                break
-            yield rows[:left], norms[:left]
-            left -= len(rows)
+        """A little-endian float32 copy of the view's rows, in row order."""
+        return self.matrix._data[0][:self._n].astype("<f4")
 
     def similarities(self, query: Embedding) -> np.ndarray:
         """Clamped cosine similarity of the query to every row, in row order,
         within SCREEN_EPS of cosine_similarity's."""
         if query.dim != self.matrix.dim:
             raise EmbeddingShapeError(f"dimension mismatch: {query.dim} vs {self.matrix.dim}")
+        rows, norms = self.matrix._data
         # the same float64 quotient as cosine_distance, of a float32 dot product
-        parts = [(rows @ query.values) / (query.norm * norms) for rows, norms in self._blocks()]
-        return np.clip(np.concatenate(parts), -1.0, 1.0)
+        sims = (rows[:self._n] @ query.values) / (query.norm * norms[:self._n])
+        return np.clip(sims, -1.0, 1.0)
 
 
 def _key_view(users: KeyView | Sequence[tuple[str, Embedding]], modality: Modality) -> KeyView:

@@ -217,7 +217,7 @@ class TestCreateAndLookup:
     def test_user_keys_view_never_changes(self, tmp_path):
         store, ids = fresh_store(3)
         faces, voices = store.user_keys("face"), store.user_keys("voice")
-        # enough users to fill the first block of rows and start another
+        # enough users to outgrow the first 65 rows (one and 64 spare) into a new array
         for i in range(3, 80):
             store.create_user(face(i), voice(i), ExtractedMemory(user_name=f"p{i}"))
         store.apply_profile_update(
@@ -750,11 +750,20 @@ class TestPersistence:
              "KeyError: 'dialog_summaries'"),
             (lambda m: m["users"]["user_0001"].update(persona=None), "TypeError"),
             (lambda m: m["users"]["user_0001"].update(facts=["plays tennis"]), "TypeError"),
+            (lambda m: m.update(next_user=5.0), "next_user is an integer of at least 1, not 5.0"),
+            (lambda m: m.update(next_user=True), "next_user is an integer .* not True"),
+            (lambda m: m.update(next_user=0), "next_user is an integer of at least 1, not 0"),
+            (lambda m: m.update(store_version="3"), "store_version is an integer .* not '3'"),
+            (lambda m: m.update(store_version=2.5), "store_version is an integer .* not 2.5"),
+            (lambda m: m.update(store_version=False), "store_version is an integer .* not False"),
+            (lambda m: m.update(store_version=-1), "store_version is an integer of at least 0"),
         ],
         ids=[
             "edge_endpoint", "persona_slot", "version", "next_user", "key_rows", "audit_length",
             "float_version", "bool_version", "null_name", "empty_fact", "no_summaries",
-            "null_persona", "bare_fact",
+            "null_persona", "bare_fact", "float_next_user", "bool_next_user", "zero_next_user",
+            "str_store_version", "float_store_version", "bool_store_version",
+            "negative_store_version",
         ],
     )
     def test_broken_invariant_rejected(self, tmp_path, edit, message):

@@ -441,17 +441,71 @@ class TestKeyMatrixEquivalence:
         values = [rng.standard_normal(dim) * scales[i % len(scales)] for i in range(150)]
         ids = [f"user_{i:04d}" for i in range(150)]
         from_empty = KeyMatrix(modality)
-        keys = from_empty.extend(ids[:149], values[:149])
-        keys.append(from_empty.append(ids[149], values[149]))  # the extend fills three blocks
+        from_empty.extend(ids[:149], values[:149])
+        from_empty.append(ids[149], values[149])  # into the spare rows
         part_filled = KeyMatrix(modality)
-        again = [part_filled.append(ids[0], values[0])]
-        again += part_filled.extend(ids[1:], np.array(values[1:]))  # from inside the first block
-        for key, key_again, value in zip(keys, again, values):
+        part_filled.append(ids[0], values[0])
+        part_filled.extend(ids[1:], np.array(values[1:]))  # grows past the first 65 rows
+        for row, value in enumerate(values):
             expected = Embedding(value, modality)
-            for got in (key, key_again):
+            for matrix in (from_empty, part_filled):
+                got = matrix.key(row)
                 assert got == expected and got.norm == expected.norm
                 assert not got.values.flags.writeable
         assert [uid for uid, _ in part_filled.view()] == ids
+
+    @pytest.mark.parametrize("n, grows", [(64, False), (65, True)])
+    def test_extend_to_the_spare_rows_and_one_past(self, n, grows):
+        rng = np.random.default_rng(17)
+        ids = [f"user_{i:04d}" for i in range(1 + n)]
+        values = rng.standard_normal((1 + n, 256))
+        matrix = KeyMatrix("voice")
+        matrix.append(ids[0], values[0])  # one row and 64 spare ones
+        rows = matrix._data[0]
+        matrix.extend(ids[1:], values[1:])
+        assert (matrix._data[0] is not rows) == grows
+        assert matrix.view().ids == ids
+        assert np.array_equal(matrix.view().rows(), values.astype(np.float32))
+        for row, value in enumerate(values):
+            expected = Embedding(value, "voice")
+            assert matrix.key(row) == expected and matrix.key(row).norm == expected.norm
+
+    @pytest.mark.parametrize("modality", ["face", "voice"])
+    def test_view_and_key_read_the_same_after_growth(self, modality):
+        rng = np.random.default_rng(19)
+        dim = 512 if modality == "face" else 256
+        ids = [f"user_{i:04d}" for i in range(200)]
+        values = rng.standard_normal((200, dim))
+        matrix = KeyMatrix(modality)
+        matrix.append(ids[0], values[0])
+        matrix.extend(ids[1:65], values[1:65])  # fills the array: the next row grows it
+        view, key = matrix.view(), matrix.key(3)
+        probes = [values[i] + 0.05 * rng.standard_normal(dim) for i in (3, 40)]
+        probes = [Embedding(p, modality) for p in probes + [rng.standard_normal(dim)]]
+
+        def decide(probe):
+            if modality == "face":
+                return face_verify(probe, view)
+            return speaker_verify(probe, view, *SPEAKER_COHORTS)
+
+        def read():
+            return (
+                list(view.ids), view.rows(), [view.similarities(p) for p in probes],
+                [decide(p) for p in probes], list(view),
+            )
+
+        before, rows = read(), matrix._data[0]
+        for user_id, row in zip(ids[65:], values[65:]):
+            matrix.append(user_id, row)
+        assert matrix._data[0] is not rows
+        after = read()
+        assert after[0] == before[0] == ids[:65] and len(view) == 65
+        assert np.array_equal(after[1], before[1])
+        assert all(np.array_equal(a, b) for a, b in zip(after[2], before[2]))
+        assert after[3] == before[3]
+        assert {d.outcome for d in after[3]} == {"matched", "new_user"}
+        assert after[4] == before[4]
+        assert key == Embedding(values[3], modality) and not key.values.flags.writeable
 
     def test_rejected_row_adds_none(self):
         matrix = KeyMatrix("voice")
@@ -459,7 +513,7 @@ class TestKeyMatrixEquivalence:
         good, two = voice_vec(2).values, ["user_0002", "user_0003"]
         bad_inputs = (
             (two, [good, np.zeros(256)]),
-            ([f"user_{i:04d}" for i in range(2, 66)], [good] * 63 + [np.zeros(256)]),  # 2nd block
+            ([f"user_{i:04d}" for i in range(2, 67)], [good] * 64 + [np.zeros(256)]),  # grows
             (two, [good, np.full(256, np.inf)]),
             (two, [good, np.full(256, np.nan)]),
             (two, [good, np.ones(255)]),  # ragged
@@ -469,11 +523,13 @@ class TestKeyMatrixEquivalence:
             (two, np.ones((1, 256))),  # fewer
             (two[:1], good),  # one row, not a (1, 256) array
         )
+        data = matrix._data
         for user_ids, values in bad_inputs:
             with pytest.raises(EmbeddingShapeError):
                 matrix.extend(user_ids, values)
-        assert len(matrix.view()) == 1
-        assert matrix.append("user_0002", voice_vec(2).values) == voice_vec(2)
+        assert len(matrix.view()) == 1 and matrix._data is data
+        matrix.append("user_0002", voice_vec(2).values)
+        assert matrix.key(1) == voice_vec(2)
         assert [uid for uid, _ in matrix.view()] == ["user_0001", "user_0002"]
 
     def test_view_of_other_modality_rejected(self):
@@ -511,7 +567,8 @@ def crowd_rows():
 
 def per_key_stats(matrix, cohort):
     """(means, stds) of every row, one key at a time, as key_stats did."""
-    stats = [_top_cohort_stats(cohort.scores_against(k), cohort.top_n) for k in matrix._keys]
+    keys = [matrix.key(row) for row in range(len(matrix.view()))]
+    stats = [_top_cohort_stats(cohort.scores_against(k), cohort.top_n) for k in keys]
     return tuple(np.array(column) for column in zip(*stats))
 
 
@@ -539,9 +596,9 @@ class TestKeyStats:
         matrix = KeyMatrix("voice")
         matrix.extend(ids[:100], values[:100])
         first = matrix.key_stats(cohort, 100)
-        for user_id, row in zip(ids[100:300], values[100:300]):  # past the 128 and 256 boundaries
+        for user_id, row in zip(ids[100:300], values[100:300]):  # grows 164 rows to 328
             matrix.append(user_id, row)
-        matrix.extend(ids[300:], values[300:])
+        matrix.extend(ids[300:], values[300:])  # grows to 1,065
         scored = []
         real = verification._top_cohort_stats
 
@@ -554,7 +611,7 @@ class TestKeyStats:
         expected = per_key_stats(matrix, cohort)
         assert_stats_equal(got, expected)
         assert_stats_equal(first, (expected[0][:100], expected[1][:100]))
-        new_rows = [cohort.scores_against(key) for key in matrix._keys[100:]]
+        new_rows = [cohort.scores_against(matrix.key(row)) for row in range(100, 1001)]
         assert np.array_equal(np.concatenate(scored), np.stack(new_rows))
 
     def test_switched_cohort_equals_per_key(self, production_cohorts, crowd_rows):
@@ -582,7 +639,7 @@ class TestKeyStats:
         means, stds = matrix.key_stats(cohort, 10)
         before = matrix._stats
         rows = rng.standard_normal((60, 256))
-        rows[56, :128] = 0.0  # row 66, in the second block: orthogonal to every member
+        rows[56, :128] = 0.0  # row 66: orthogonal to every member
         matrix.extend([f"user_{i:04d}" for i in range(10, 70)], rows)
         with pytest.raises(DegenerateCohortError):
             matrix.key_stats(cohort, 70)
@@ -594,7 +651,7 @@ class TestDecisionsSurviveARoundTrip:
     def test_speaker_decisions_equal_after_persist_and_load(self, production_cohorts, tmp_path):
         query_cohort, key_cohort = production_cohorts
         rng = np.random.default_rng(5)
-        voices = rng.standard_normal((70, 256))  # crosses the 64-row first block
+        voices = rng.standard_normal((70, 256))  # grows past the first 65 rows
         store = MemoryStore()
         for i, voice in enumerate(voices):
             face = Embedding(rng.standard_normal(512), "face")
