@@ -15,7 +15,8 @@ view ever mutates. Rows are never changed or removed. Edges live only in the
 graph.
 
 Persistence is a directory: a compact JSON manifest, a content-addressed
-sidecar holding the face key rows and then the voice key rows as float32
+sidecar holding the face key rows and then the voice key rows as float32,
+and the voice keys' cached AS-norm statistics when there are any
 (checksummed from the manifest), and an append-only JSONL audit log whose
 committed length the manifest records. Renaming the manifest into place is
 the one commit point, so a persist that stops anywhere leaves the old store
@@ -54,6 +55,7 @@ STORE_FORMAT = "memory-store/2"
 _FORMAT_1 = "memory-store/1"  # still loads
 _MANIFEST_FILE = "store.json"
 _AUDIT_FILE = "audit.log"
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")  # CohortSet.fingerprint
 # what persist writes, and so may delete once the manifest no longer names it
 _OWN_FILE = re.compile(r"(store\.json|embeddings(-[0-9a-f]{64})?\.bin|audit(-\d+)?\.log)(\.tmp)?")
 
@@ -219,11 +221,9 @@ class UserProfile:
         profile.__dict__.update(  # frozen: the fields are set in place, once
             user_id=user_id,
             name=name,
-            facts=tuple([MemoryItem(i["text"], i["timestamp"]) for i in record["facts"]]),
-            dialog_summaries=tuple(
-                [MemoryItem(i["text"], i["timestamp"]) for i in record["dialog_summaries"]]
-            ),
-            persona=types.MappingProxyType(dict(record["persona"])),
+            facts=tuple([_item(i) for i in record["facts"]]),
+            dialog_summaries=tuple([_item(i) for i in record["dialog_summaries"]]),
+            persona=types.MappingProxyType(dict(_expect(record["persona"], dict, "a persona"))),
             version=version,
         )
         return profile
@@ -240,6 +240,23 @@ class UserProfile:
             ],
             "persona": dict(self.persona),
         }
+
+
+def _item(record: Mapping[str, Any]) -> MemoryItem:
+    """A fact or summary from its manifest record; text and timestamp must
+    be strings."""
+    text, timestamp = record["text"], record["timestamp"]
+    if type(text) is not str or type(timestamp) is not str:
+        raise TypeError(f"memory item texts and timestamps are strings: {record!r}")
+    return MemoryItem(text, timestamp)
+
+
+def _expect(value: Any, kind: type, what: str) -> Any:
+    """value, when JSON read it as a kind; else TypeError."""
+    if type(value) is not kind:
+        names = {dict: "object", list: "array"}
+        raise TypeError(f"{what} must be a JSON {names[kind]}, not {type(value).__name__}")
+    return value
 
 
 class MemoryStore:
@@ -530,13 +547,22 @@ class MemoryStore:
         directory and the manifest there is unchanged since; otherwise it is
         written afresh. One directory has one writer at a time; concurrent
         persists of one store serialize on its writer lock, and the last one
-        wins.
+        wins. Key-side statistics that a KeyMatrix caches follow the key rows
+        in the sidecar, named by the manifest's key_stats; with none cached,
+        neither is written.
         """
         with self._lock:
             entry = {"action": "persist", "path": str(path), "store_version": self._store_version}
             os.makedirs(path, exist_ok=True)
             views = {kind: matrix.view() for kind, matrix in self._keys.items()}
             planes = [view.rows() for view in views.values()]  # face rows, then voice rows
+            key_stats = {}  # then any cached statistics: means, then stds
+            for kind, matrix in self._keys.items():
+                stats = matrix.stats()
+                if stats is not None:
+                    fingerprint, means, stds = stats
+                    key_stats[kind] = {"cohort": fingerprint, "rows": len(means)}
+                    planes += [means.astype("<f8"), stds.astype("<f8")]
             digest = hashlib.sha256()
             for plane in planes:
                 digest.update(plane)
@@ -570,6 +596,8 @@ class MemoryStore:
                 "audit_file": audit_file,
                 "audit_bytes": audit_bytes,
             }
+            if key_stats:
+                manifest["key_stats"] = key_stats
             _fsync_dir(path)  # the new names are durable before the manifest cites them
             _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True).encode("utf-8"))
             self._audit.append(entry)
@@ -617,15 +645,20 @@ class MemoryStore:
         invariant: an edge endpoint or key row that is no user, a persona
         slot outside the schema, a profile version or next_user below 1, a
         store_version below 0, any of these three that is no int (bools are
-        not), a name that is no str, an empty fact or summary text, a user id
-        at or above next_user, or an audit log shorter than its committed
-        length. Each key plane goes into its KeyMatrix as one (n, dim) array,
-        and each profile is built straight from its record.
+        not), a name, fact or summary text or timestamp that is no str, an
+        empty fact or summary text, a manifest, users or persona that is no
+        JSON object, edges that are no list, a user id at or above next_user,
+        an audit log shorter than its committed length, or a key_stats block
+        whose rows are no int in 1..n, whose cohort is no sha256 hex digest,
+        or whose means are not finite or stds not finite and above 0. Each
+        key plane goes into its KeyMatrix as one (n, dim) array, with its
+        statistics restored (key_stats checks them on first use), and each
+        profile is built straight from its record.
         """
         try:
             with open(os.path.join(path, _MANIFEST_FILE), "rb") as fh:
                 manifest_key = _file_key(fh.fileno())
-                manifest = json.load(fh)
+                manifest = _expect(json.load(fh), dict, "the manifest")
             fmt = manifest.get("format")
             if fmt not in (STORE_FORMAT, _FORMAT_1):
                 raise StoreError(f"unsupported store format {fmt!r}")
@@ -637,15 +670,17 @@ class MemoryStore:
                 raise StoreChecksumError("embedding sidecar does not match its manifest checksum")
 
             store = cls(persona_slots=tuple(manifest["persona_slots"]))
-            users = manifest["users"]
+            users = _expect(manifest["users"], dict, "users")
             if fmt == _FORMAT_1:
-                ids, planes = list(users), _format_1_rows(users, sidecar, store._keys)
+                ids, planes, stats = list(users), _format_1_rows(users, sidecar, store._keys), {}
             else:
-                ids, planes = manifest["key_rows"], _planes(sidecar, manifest, store._keys)
+                ids, (planes, stats) = manifest["key_rows"], _planes(sidecar, manifest, store._keys)
             if sorted(ids) != sorted(users):
                 raise StoreError("the key rows are not one row for each user")
             for kind, matrix in store._keys.items():
                 matrix.extend(ids, planes[kind])
+                if kind in stats:
+                    matrix.restore_stats(*stats[kind])
             for name, least in (("next_user", 1), ("store_version", 0)):
                 value = manifest[name]
                 if type(value) is not int or value < least:
@@ -655,9 +690,9 @@ class MemoryStore:
             for uid, record in users.items():
                 if int(uid.removeprefix("user_")) >= store._next_user:
                     raise StoreError(f"next_user {store._next_user} is not above {uid!r}")
-                store._validate_persona(record["persona"])
-                store._users[uid] = UserProfile._of_record(uid, record)
-            for f, r, t in manifest["edges"]:
+                store._users[uid] = profile = UserProfile._of_record(uid, record)
+                store._validate_persona(profile.persona)
+            for f, r, t in _expect(manifest["edges"], list, "edges"):
                 for endpoint in (f, t):
                     if endpoint not in users:
                         raise UnknownUserError(f"edge endpoint {endpoint!r} is no user")
@@ -705,19 +740,37 @@ def _file_key(file: str | int) -> tuple[int, ...] | None:
 
 def _planes(
     sidecar: bytes, manifest: Mapping[str, Any], matrices: Mapping[str, KeyMatrix]
-) -> dict[str, np.ndarray]:
-    """Each modality's key rows, in row order, as views of the sidecar."""
+) -> tuple[dict[str, np.ndarray], dict[str, tuple[str, np.ndarray, np.ndarray]]]:
+    """Each modality's key rows, in row order, as views of the sidecar, and
+    the key-side statistics it carries: (cohort fingerprint, means, stds)."""
     n, dims = len(manifest["key_rows"]), manifest["key_dims"]
     for kind, matrix in matrices.items():
         if dims[kind] != matrix.dim:
             raise EmbeddingShapeError(f"{kind} keys have {matrix.dim} dims, not {dims[kind]}")
-    if len(sidecar) != 4 * n * sum(dims[kind] for kind in matrices):
-        raise StoreChecksumError("embedding sidecar does not hold the manifest's key rows")
-    flat, planes, start = np.frombuffer(sidecar, "<f4"), {}, 0
+    blocks = manifest.get("key_stats", {})
+    if type(blocks) is not dict or not set(blocks) <= set(matrices):
+        raise StoreError(f"key_stats maps key modalities to blocks, not {blocks!r}")
+    for kind, block in blocks.items():
+        rows, fingerprint = block["rows"], block["cohort"]
+        if type(rows) is not int or not 1 <= rows <= n:
+            raise StoreError(f"{kind} key_stats rows is an integer in 1..{n}, not {rows!r}")
+        if type(fingerprint) is not str or not _FINGERPRINT.fullmatch(fingerprint):
+            raise StoreError(f"{kind} key_stats cohort is no sha256 hex digest: {fingerprint!r}")
+    start = 4 * n * sum(dims[kind] for kind in matrices)
+    if len(sidecar) != start + 16 * sum(block["rows"] for block in blocks.values()):
+        raise StoreChecksumError("embedding sidecar does not hold the manifest's keys and stats")
+    flat, planes, stats = np.frombuffer(sidecar, "<f4", start // 4), {}, {}
     for kind, matrix in matrices.items():
-        planes[kind] = flat[start:start + n * matrix.dim].reshape(n, matrix.dim)
-        start += n * matrix.dim
-    return planes
+        planes[kind], flat = flat[:n * matrix.dim].reshape(n, matrix.dim), flat[n * matrix.dim:]
+    for kind in matrices:  # in persist's order, after every key row
+        if kind in blocks:
+            m = blocks[kind]["rows"]
+            block = np.frombuffer(sidecar, "<f8", 2 * m, start).reshape(2, m).astype(float)
+            means, stds = block
+            if not (np.isfinite(block).all() and (stds > 0).all()):
+                raise StoreError(f"{kind} key statistics need finite means and stds above 0")
+            stats[kind], start = (blocks[kind]["cohort"], means, stds), start + 16 * m
+    return planes, stats
 
 
 def _format_1_rows(

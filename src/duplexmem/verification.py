@@ -15,6 +15,7 @@ functions below, only the rows whose exact score the screen cannot rule out
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -161,6 +162,14 @@ class CohortSet:
         mat.setflags(write=False)
         return mat
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """sha256 hex of top_n, the unit matrix's shape and its little-endian
+        float32 bytes: equal cohorts share key-side statistics."""
+        digest = hashlib.sha256(f"{self.top_n} {self.unit_matrix.shape}".encode())
+        digest.update(self.unit_matrix.astype("<f4"))
+        return digest.hexdigest()
+
     def scores_against(self, probe: Embedding) -> np.ndarray:
         """Cosine similarity of one probe against every cohort member."""
         if probe.dim != self.unit_matrix.shape[1]:
@@ -192,8 +201,10 @@ class KeyMatrix:
     ids, so a KeyView (the first n rows) always reads a complete prefix. A
     row's Embedding is built when asked for, by key. Key-side AS-norm
     statistics depend only on a row and the key cohort; they are cached for
-    the last cohort used and extended when rows appended since are first
-    asked for.
+    the last cohort used, by its fingerprint, and extended when rows
+    appended since are first asked for. A store persists them (stats) and
+    restores them on load (restore_stats), so a loaded store scores only
+    the rows appended since.
     """
 
     def __init__(self, modality: Modality):
@@ -201,7 +212,8 @@ class KeyMatrix:
         self.dim = MODALITY_DIMS[modality]
         self._data = (np.empty((0, self.dim), np.float32), np.empty(0))  # rows, float64 norms
         self._ids: list[str] = []
-        self._stats: tuple[CohortSet, np.ndarray, np.ndarray] | None = None
+        # (cohort fingerprint, means, stds, whether a restored block is checked)
+        self._stats: tuple[str, np.ndarray, np.ndarray, bool] | None = None
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[str, Embedding]], modality: Modality) -> "KeyView":
@@ -266,26 +278,53 @@ class KeyMatrix:
 
         Rows not yet cached are scored as one slice with one gemv per row, as
         CohortSet.scores_against scores one key, so every statistic is bit
-        for bit the per-key one. A cohort of another dimension raises
+        for bit the per-key one. A block restored for this cohort is checked
+        on first use: its last row is scored again, and unless that gives the
+        very same bits (another BLAS may round differently) the block is
+        dropped and every row scored. A cohort of another dimension raises
         EmbeddingShapeError; a degenerate row raises DegenerateCohortError and
         caches nothing. Concurrent callers may compute the same rows twice;
         every copy of a statistic is the same, so whichever result is cached
         last is right.
         """
+        fingerprint = cohort.fingerprint
         cached = self._stats
-        if cached is None or cached[0] is not cohort:
-            cached = (cohort, np.empty(0), np.empty(0))
-        _, means, stds = cached
+        if cached is None or cached[0] != fingerprint:
+            cached = (fingerprint, np.empty(0), np.empty(0), True)
+        _, means, stds, checked = cached
+        if not checked:
+            last = len(means) - 1
+            again = self._score(cohort, last, last + 1)
+            if not all(map(np.array_equal, again, (means[last:], stds[last:]))):
+                means, stds = np.empty(0), np.empty(0)
+            self._stats = (fingerprint, means, stds, True)
         if len(means) < n:
-            if cohort.unit_matrix.shape[1] != self.dim:
-                raise EmbeddingShapeError("key dimension does not match cohort")
-            rows, norms = self._data
-            units = rows[len(means):n] / norms[len(means):n, None].astype(np.float32)
-            scores = np.matmul(cohort.unit_matrix, units[:, :, None])[:, :, 0]
-            new_means, new_stds = _top_cohort_stats(scores, cohort.top_n)
+            new_means, new_stds = self._score(cohort, len(means), n)
             means, stds = np.concatenate([means, new_means]), np.concatenate([stds, new_stds])
-            self._stats = (cohort, means, stds)
+            self._stats = (fingerprint, means, stds, True)
         return means[:n], stds[:n]
+
+    def _score(self, cohort: CohortSet, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        if cohort.unit_matrix.shape[1] != self.dim:
+            raise EmbeddingShapeError("key dimension does not match cohort")
+        rows, norms = self._data
+        units = rows[start:end] / norms[start:end, None].astype(np.float32)
+        scores = np.matmul(cohort.unit_matrix, units[:, :, None])[:, :, 0]
+        return _top_cohort_stats(scores, cohort.top_n)
+
+    def stats(self) -> tuple[str, np.ndarray, np.ndarray] | None:
+        """The cached statistics as (cohort fingerprint, means, stds) of the
+        first len(means) rows, or None when no row has any."""
+        cached = self._stats
+        if cached is None or not len(cached[1]):
+            return None
+        return cached[:3]
+
+    def restore_stats(self, fingerprint: str, means: np.ndarray, stds: np.ndarray) -> None:
+        """Cache statistics of the first m rows, 1 <= m <= rows, as stats()
+        gave them before a persist; key_stats checks them when a cohort of
+        that fingerprint first asks."""
+        self._stats = (fingerprint, means, stds, False)
 
 
 class KeyView(Sequence[tuple[str, Embedding]]):

@@ -1,6 +1,9 @@
 """Command line behavior: exit codes, output determinism, file pipelines."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -361,3 +364,20 @@ class TestStoreInspect:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: unreadable store {path}: {cause}")
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "5"])
+    def test_manifest_that_is_not_an_object_is_reported(self, capsys, tmp_path, text):
+        _, path = self.persisted(tmp_path)
+        (path / "store.json").write_text(text)
+        code, out, err = run_cli(capsys, "store", "inspect", "--dir", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unreadable store {path}: TypeError: the manifest must be")
+
+
+def test_runs_as_a_module():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "duplexmem", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ")

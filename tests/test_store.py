@@ -1,5 +1,6 @@
 """Profile store semantics: versioned updates, the social graph, persistence."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -23,7 +24,7 @@ from duplexmem.store import (
     UserProfile,
     seed_profile,
 )
-from duplexmem.verification import Embedding, EmbeddingShapeError
+from duplexmem.verification import CohortSet, Embedding, EmbeddingShapeError, speaker_verify
 
 
 def face(i):
@@ -48,6 +49,49 @@ def manifest_of(target):
 
 def sidecar_of(target):
     return os.path.join(target, manifest_of(target)["embeddings_file"])
+
+
+def rewrite_sidecar(target, edit):
+    """Replace the sidecar's bytes with edit(bytes), keeping its name, and
+    the manifest's checksum with theirs."""
+    manifest = manifest_of(target)
+    path = os.path.join(target, manifest["embeddings_file"])
+    with open(path, "rb") as fh:
+        data = edit(fh.read())
+    with open(path, "wb") as fh:
+        fh.write(data)
+    manifest["embeddings_sha256"] = hashlib.sha256(data).hexdigest()
+    with open(os.path.join(target, "store.json"), "w") as fh:
+        json.dump(manifest, fh, sort_keys=True)
+
+
+def rewrite_stats(target, edit):
+    """rewrite_sidecar, with edit(means, stds) changing copies of the voice
+    statistics at the sidecar's end in place."""
+    m = manifest_of(target)["key_stats"]["voice"]["rows"]
+
+    def rewrite(data):
+        block = np.frombuffer(data[-16 * m:], "<f8").copy()
+        edit(block[:m], block[m:])
+        return data[:-16 * m] + block.tobytes()
+
+    rewrite_sidecar(target, rewrite)
+
+
+KEY_COHORT = CohortSet(tuple(voice(100 + i) for i in range(8)), top_n=4)
+
+
+def warm(store):
+    """Cache the voice keys' statistics against KEY_COHORT, as a voice query does."""
+    query_cohort = CohortSet(tuple(voice(200 + i) for i in range(8)), top_n=4)
+    speaker_verify(voice(99), store.user_keys("voice"), query_cohort, KEY_COHORT)
+    return store
+
+
+def stats_of(store):
+    """The voice matrix's cached statistics as plain values, or None."""
+    stats = store.user_keys("voice").matrix.stats()
+    return None if stats is None else (stats[0], stats[1].tolist(), stats[2].tolist())
 
 
 def fresh_store(n_users=0):
@@ -655,6 +699,13 @@ class TestPersistence:
             MemoryStore.load(target)
         assert isinstance(info.value.__cause__, json.JSONDecodeError)
 
+    @pytest.mark.parametrize("text", ["[]", '"x"', "5"])
+    def test_manifest_that_is_not_an_object_rejected(self, tmp_path, text):
+        target = self.persisted_with_manifest(tmp_path, lambda _: text)
+        with pytest.raises(StoreError, match="the manifest must be a JSON object") as info:
+            MemoryStore.load(target)
+        assert isinstance(info.value.__cause__, TypeError)
+
     def test_unknown_format_rejected(self, tmp_path):
         store = self.populated()
         target = str(tmp_path / "store")
@@ -757,13 +808,22 @@ class TestPersistence:
             (lambda m: m.update(store_version=2.5), "store_version is an integer .* not 2.5"),
             (lambda m: m.update(store_version=False), "store_version is an integer .* not False"),
             (lambda m: m.update(store_version=-1), "store_version is an integer of at least 0"),
+            (lambda m: m["users"]["user_0001"]["facts"][0].update(text=5, timestamp=7),
+             "memory item texts and timestamps are strings"),
+            (lambda m: m["users"]["user_0002"]["dialog_summaries"][0].update(timestamp=7),
+             "memory item texts and timestamps are strings"),
+            (lambda m: m["users"]["user_0001"].update(persona=[["name", "x"]]),
+             "a persona must be a JSON object, not list"),
+            (lambda m: m.update(edges={}), "edges must be a JSON array, not dict"),
+            (lambda m: m.update(users=[]), "users must be a JSON object, not list"),
         ],
         ids=[
             "edge_endpoint", "persona_slot", "version", "next_user", "key_rows", "audit_length",
             "float_version", "bool_version", "null_name", "empty_fact", "no_summaries",
             "null_persona", "bare_fact", "float_next_user", "bool_next_user", "zero_next_user",
             "str_store_version", "float_store_version", "bool_store_version",
-            "negative_store_version",
+            "negative_store_version", "int_fact_text", "int_summary_timestamp", "list_persona",
+            "object_edges", "list_users",
         ],
     )
     def test_broken_invariant_rejected(self, tmp_path, edit, message):
@@ -774,6 +834,99 @@ class TestPersistence:
 
         target = self.persisted_with_manifest(tmp_path, rewrite)
         with pytest.raises(StoreError, match=message):
+            MemoryStore.load(target)
+
+    def test_key_stats_round_trip(self, tmp_path):
+        cold, hot = str(tmp_path / "cold"), str(tmp_path / "hot")
+        self.populated().persist(cold)
+        assert "key_stats" not in manifest_of(cold)  # no statistics: no block
+        assert os.path.getsize(sidecar_of(cold)) == 2 * 4 * (512 + 256)
+        store = warm(self.populated())
+        assert store == self.populated()  # statistics are derived: equality ignores them
+        store.persist(hot)
+        manifest = manifest_of(hot)
+        assert manifest["key_stats"] == {"voice": {"cohort": KEY_COHORT.fingerprint, "rows": 2}}
+        with open(sidecar_of(hot), "rb") as fh:
+            data = fh.read()
+        with open(sidecar_of(cold), "rb") as fh:
+            assert data[:-32] == fh.read()  # the key rows, then the statistics
+        _, means, stds = store.user_keys("voice").matrix.stats()
+        assert data[-32:] == means.astype("<f8").tobytes() + stds.astype("<f8").tobytes()
+        loaded = MemoryStore.load(hot)
+        assert loaded == store
+        assert stats_of(loaded) == stats_of(store)
+        loaded.persist(hot)  # not yet checked by a query: carried as they are
+        assert stats_of(MemoryStore.load(hot)) == stats_of(store)
+
+    def persisted_warm(self, tmp_path):
+        target = str(tmp_path / "store")
+        warm(self.populated()).persist(target)
+        return target
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b.update(rows=2.0), r"voice key_stats rows is an integer in 1..2, not 2.0"),
+            (lambda b: b.update(rows=True), "not True"),
+            (lambda b: b.update(rows=0), "in 1..2, not 0"),
+            (lambda b: b.update(rows=3), "in 1..2, not 3"),
+            (lambda b: b.update(rows=1), "does not hold the manifest's keys and stats"),
+            (lambda b: b.update(cohort=b["cohort"].upper()), "no sha256 hex digest"),
+            (lambda b: b.update(cohort=b["cohort"][1:]), "no sha256 hex digest"),
+            (lambda b: b.update(cohort=None), "no sha256 hex digest: None"),
+            (lambda b: b.pop("rows"), "KeyError: 'rows'"),
+        ],
+        ids=["float_rows", "bool_rows", "zero_rows", "rows_past_keys", "rows_short_of_sidecar",
+             "upper_hex", "short_hex", "null_cohort", "no_rows"],
+    )
+    def test_bad_key_stats_block_rejected(self, tmp_path, edit, message):
+        target = self.persisted_warm(tmp_path)
+        manifest = manifest_of(target)
+        edit(manifest["key_stats"]["voice"])
+        with open(os.path.join(target, "store.json"), "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(StoreError, match=message):
+            MemoryStore.load(target)
+
+    @pytest.mark.parametrize(
+        "key_stats, error",
+        [
+            ([], StoreError),
+            ({"face": {"cohort": "0" * 64, "rows": 1}, "voice": None}, StoreError),
+            ({"text": {"cohort": "0" * 64, "rows": 1}}, StoreError),
+            ({"voice": {"cohort": "0" * 64, "rows": 1}}, StoreChecksumError),  # no block stored
+        ],
+        ids=["not_an_object", "null_block", "no_such_keys", "block_not_in_sidecar"],
+    )
+    def test_key_stats_that_name_no_block_rejected(self, tmp_path, key_stats, error):
+        target = str(tmp_path / "store")
+        self.populated().persist(target)
+        manifest = manifest_of(target)
+        manifest["key_stats"] = key_stats
+        with open(os.path.join(target, "store.json"), "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(error):
+            MemoryStore.load(target)
+
+    @pytest.mark.parametrize("field", ["means", "stds"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_key_statistics_rejected(self, tmp_path, field, value):
+        target = self.persisted_warm(tmp_path)
+
+        def edit(means, stds):
+            (means if field == "means" else stds)[1] = value
+
+        rewrite_stats(target, edit)
+        if field == "means" and np.isfinite(value):
+            assert stats_of(MemoryStore.load(target))[1][1] == value  # any finite mean loads
+            return
+        with pytest.raises(StoreError, match="finite means and stds above 0"):
+            MemoryStore.load(target)
+
+    def test_sidecar_longer_than_its_statistics_rejected(self, tmp_path):
+        target = self.persisted_warm(tmp_path)
+        rewrite_sidecar(target, lambda data: data + bytes(8))
+        with pytest.raises(StoreChecksumError, match="keys and stats"):
             MemoryStore.load(target)
 
     def test_persist_is_audited(self, tmp_path):

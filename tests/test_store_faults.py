@@ -16,7 +16,7 @@ from duplexmem.store import (
     MemoryStore,
     UpdateResolution,
 )
-from test_store import FORMAT_1_FIXTURE, face, manifest_of, voice
+from test_store import FORMAT_1_FIXTURE, face, manifest_of, stats_of, voice, warm
 from test_store import TestPersistence as _Persistence  # not collected twice
 
 FAULTED = ("pwrite", "ftruncate", "fsync", "replace", "unlink")
@@ -84,11 +84,21 @@ def scenario_format_1(target):
     return store
 
 
+def scenario_warm_stats(target):
+    """A store with key statistics, persisted, loaded, grown and queried
+    again: the directory's statistics cover 2 rows, the store's 3."""
+    warm(_Persistence().populated()).persist(target)
+    store = MemoryStore.load(target)
+    grow(store, 3)
+    return warm(store)
+
+
 SCENARIOS = {
     "fresh": scenario_fresh,
     "append": scenario_append,
     "rewrite": scenario_rewrite,
     "format_1": scenario_format_1,
+    "warm_stats": scenario_warm_stats,
 }
 
 
@@ -137,6 +147,7 @@ def test_a_fault_anywhere_leaves_the_old_store_or_the_new_one(monkeypatch, tmp_p
             assert loaded in (old, store), f"fault at call {k} ({name}): a third store"
             loaded_new = loaded == store
             outcomes.add("new" if loaded_new else "old")
+            assert stats_of(loaded) == stats_of(store if loaded_new else old)
 
         # the same store persists again, cleanly, over what the fault left
         store.persist(target)

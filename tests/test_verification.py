@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from duplexmem import verification
 from duplexmem.harness import cohort_sets, demo_scenario
-from duplexmem.store import MemoryStore, seed_profile
+from duplexmem.store import ExtractedMemory, MemoryStore, seed_profile
+from test_store import rewrite_stats
 from duplexmem.verification import (
     DEFAULT_COHORT_TOP_N,
     DEFAULT_FACE_DELTA,
@@ -576,6 +577,25 @@ def assert_stats_equal(got, expected):
     assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
+@pytest.fixture
+def scored(monkeypatch):
+    """The cohort scores of each row that key_stats scores from here on."""
+    rows = []
+    real = verification._top_cohort_stats
+
+    def spy(scores, top_n):
+        if np.ndim(scores) == 2:  # key rows come as a block; a voice query is 1-d
+            rows.extend(scores)
+        return real(scores, top_n)
+
+    monkeypatch.setattr(verification, "_top_cohort_stats", spy)
+    return rows
+
+
+def scores_of(matrix, cohort, rows):
+    return [cohort.scores_against(matrix.key(row)) for row in rows]
+
+
 class TestKeyStats:
     def test_one_extend_equals_per_key(self, production_cohorts, crowd_rows):
         _, cohort = production_cohorts
@@ -647,6 +667,18 @@ class TestKeyStats:
         assert_stats_equal(matrix.key_stats(cohort, 10), (means, stds))
 
 
+    def test_equal_cohorts_share_the_cache(self, crowd_rows, scored):
+        _, first = cohort_sets(demo_scenario())
+        _, second = cohort_sets(demo_scenario())
+        assert first is not second and first.fingerprint == second.fingerprint
+        matrix = KeyMatrix("voice")
+        matrix.extend(*crowd_rows)
+        stats = matrix.key_stats(first, 1001)
+        scored.clear()
+        assert_stats_equal(matrix.key_stats(second, 1001), stats)
+        assert scored == []
+
+
 class TestDecisionsSurviveARoundTrip:
     def test_speaker_decisions_equal_after_persist_and_load(self, production_cohorts, tmp_path):
         query_cohort, key_cohort = production_cohorts
@@ -673,6 +705,109 @@ class TestDecisionsSurviveARoundTrip:
         expected = [reference_speaker_verify(p, pairs, query_cohort, key_cohort,
                                              DEFAULT_SPEAKER_THETA) for p in probes]
         assert before == expected
+
+
+@pytest.fixture(scope="module")
+def crowd_store(tmp_path_factory, crowd_rows):
+    """A persisted store of 1,001 users, crowd_rows their voice keys, without
+    statistics. Returns its directory."""
+    rng = np.random.default_rng(12)
+    store = MemoryStore()
+    for voice in crowd_rows[1]:
+        face = Embedding(rng.standard_normal(512), "face")
+        store.create_user(face, Embedding(voice, "voice"), ExtractedMemory())
+    path = str(tmp_path_factory.mktemp("crowd") / "store")
+    store.persist(path)
+    return path
+
+
+def crowd_probes(crowd_rows):
+    """Voice probes near six stored keys, and three strangers."""
+    rng = np.random.default_rng(13)
+    voices = crowd_rows[1]
+    probes = [voices[i] + 0.05 * rng.standard_normal(256) for i in range(0, 1001, 200)]
+    return [Embedding(p, "voice") for p in probes + list(rng.standard_normal((3, 256)))]
+
+
+class TestRestoredKeyStats:
+    """A store persists its key-side statistics and a loaded store restores
+    them, so a voice query after a load scores only the rows appended since
+    the persist, plus the restored block's last row, which it checks."""
+
+    @pytest.mark.parametrize("appended", [0, 1])
+    def test_loaded_store_scores_only_rows_appended_since(
+        self, production_cohorts, crowd_store, crowd_rows, tmp_path, scored, appended
+    ):
+        query_cohort, key_cohort = production_cohorts
+        probes = crowd_probes(crowd_rows)
+
+        def decide(memory):
+            keys = memory.user_keys("voice")
+            return [speaker_verify(p, keys, query_cohort, key_cohort) for p in probes]
+
+        store = MemoryStore.load(crowd_store)
+        decide(store)  # the day's voice queries: statistics of 1,001 rows
+        for i in range(appended):  # created at night
+            rng = np.random.default_rng(100 + i)
+            store.create_user(Embedding(rng.standard_normal(512), "face"),
+                              Embedding(rng.standard_normal(256), "voice"), ExtractedMemory())
+        store.persist(str(tmp_path / "night"))
+        before = decide(store)
+        loaded = MemoryStore.load(str(tmp_path / "night"))
+        scored.clear()
+        after = decide(loaded)
+        assert after == before  # outcome, user id and bit-equal score and raw score
+        assert {d.outcome for d in before} == {"matched", "new_user"}
+        matrix = loaded.user_keys("voice").matrix
+        rows = [1000] + list(range(1001, 1001 + appended))  # the check, then the new rows
+        assert np.array_equal(np.stack(scored), np.stack(scores_of(matrix, key_cohort, rows)))
+        assert_stats_equal(matrix.key_stats(key_cohort, 1001 + appended),
+                           per_key_stats(matrix, key_cohort))
+        pairs = list(loaded.user_keys("voice"))
+        expected = [reference_speaker_verify(p, pairs, query_cohort, key_cohort,
+                                             DEFAULT_SPEAKER_THETA) for p in probes[::3]]
+        assert after[::3] == expected
+
+    @pytest.mark.parametrize("change", ["member", "top_n"])
+    def test_another_cohort_scores_every_row(
+        self, production_cohorts, crowd_store, tmp_path, scored, change
+    ):
+        _, cohort = production_cohorts
+        store = MemoryStore.load(crowd_store)
+        store.user_keys("voice").matrix.key_stats(cohort, 1001)
+        store.persist(str(tmp_path / "night"))
+        if change == "member":
+            other = CohortSet((voice_vec(7),) + cohort.embeddings[1:], cohort.top_n)
+        else:
+            other = CohortSet(cohort.embeddings, cohort.top_n - 1)
+        assert other.fingerprint != cohort.fingerprint
+        matrix = MemoryStore.load(str(tmp_path / "night")).user_keys("voice").matrix
+        scored.clear()
+        assert_stats_equal(matrix.key_stats(other, 1001), per_key_stats(matrix, other))
+        assert np.array_equal(np.stack(scored), np.stack(scores_of(matrix, other, range(1001))))
+
+    def test_tampered_block_fails_its_check(
+        self, production_cohorts, crowd_store, crowd_rows, tmp_path, scored
+    ):
+        query_cohort, key_cohort = production_cohorts
+        store = MemoryStore.load(crowd_store)
+        store.user_keys("voice").matrix.key_stats(key_cohort, 1001)
+        target = str(tmp_path / "night")
+        store.persist(target)
+        # one ulp up on every mean, as a BLAS that rounds otherwise might give
+        rewrite_stats(target, lambda means, stds: np.copyto(means, np.nextafter(means, 1.0)))
+        loaded = MemoryStore.load(target)
+        scored.clear()
+        keys = loaded.user_keys("voice")
+        probes = crowd_probes(crowd_rows)[::2]
+        decisions = [speaker_verify(p, keys, query_cohort, key_cohort) for p in probes]
+        rows = [1000] + list(range(1001))  # the failed check, then every row
+        assert np.array_equal(np.stack(scored), np.stack(scores_of(keys.matrix, key_cohort, rows)))
+        assert_stats_equal(keys.matrix.key_stats(key_cohort, 1001),
+                           per_key_stats(keys.matrix, key_cohort))
+        pairs = list(keys)
+        assert decisions == [reference_speaker_verify(p, pairs, query_cohort, key_cohort,
+                                                      DEFAULT_SPEAKER_THETA) for p in probes]
 
 
 # --------------------------------------------------------------------------
