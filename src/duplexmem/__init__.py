@@ -6,177 +6,6 @@ markers in the monologue channel trigger cross-user retrieval (`retrieval`),
 and completed stream chunks roll into per-user long-term memory (`sessions`,
 `pipeline`, `store`) through schema-validated backend calls (`backends`).
 `harness` and the `duplexmem` CLI synthesize scenarios and reproduce the
-metric suites.
+metric suites. The package itself exports no names: import them from these
+modules.
 """
-
-from .backends import (
-    BackendClient,
-    BackendError,
-    BackendSchemaError,
-    BackendSuite,
-    BackendTimeoutError,
-    BackendTransportError,
-    FlakyTransport,
-    IdentitySeed,
-    RetryPolicy,
-    UtteranceRow,
-    http_suite,
-    mock_suite,
-)
-from .harness import (
-    MetricCheck,
-    MetricsTable,
-    Scenario,
-    ScenarioSpec,
-    demo_scenario,
-    eval_retrieval,
-    eval_streams,
-    eval_trigger,
-    eval_verification,
-    run_walkthrough,
-    scenario_from_json,
-    scenario_to_json,
-    simulate_lifelong_run,
-    synth_scenario,
-)
-from .persona import DEFAULT_PERSONA_SLOTS
-from .pipeline import CycleConfig, CycleReport, run_management_cycle
-from .retrieval import (
-    DocumentIndex,
-    QueryGroups,
-    RetrievalDocument,
-    RetrievalResult,
-    bm25_rank,
-    format_query_protocol,
-    parse_query_protocol,
-    rerank_by_keywords,
-    retrieve_topk,
-)
-from .runtime import (
-    AgentConfig,
-    AgentRunResult,
-    ContextWindowState,
-    polling_tick,
-    render_profile,
-    run_agent,
-)
-from .sessions import (
-    ActivityTagger,
-    SessionSpan,
-    TagSequence,
-    extract_sessions,
-    jaccard_score,
-    span_match_at_n,
-    spans_to_labels,
-    tag_stream,
-)
-from .store import (
-    ExtractedMemory,
-    MemoryItem,
-    MemoryStore,
-    RelationTriplet,
-    UpdateResolution,
-    UserProfile,
-    seed_profile,
-)
-from .stream import (
-    DialogScript,
-    StreamBuildConfig,
-    TokenStream,
-    TurnScript,
-    build_stream,
-    make_supervision_masks,
-    parse_stream,
-    serialize_stream,
-)
-from .verification import (
-    CohortSet,
-    Embedding,
-    VerificationDecision,
-    compute_eer,
-    cosine_distance,
-    face_verify,
-    pass_at_k,
-    speaker_verify,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ActivityTagger",
-    "AgentConfig",
-    "AgentRunResult",
-    "BackendClient",
-    "BackendError",
-    "BackendSchemaError",
-    "BackendSuite",
-    "BackendTimeoutError",
-    "BackendTransportError",
-    "CohortSet",
-    "ContextWindowState",
-    "CycleConfig",
-    "CycleReport",
-    "DEFAULT_PERSONA_SLOTS",
-    "DialogScript",
-    "DocumentIndex",
-    "Embedding",
-    "ExtractedMemory",
-    "FlakyTransport",
-    "IdentitySeed",
-    "MemoryItem",
-    "MemoryStore",
-    "MetricCheck",
-    "MetricsTable",
-    "QueryGroups",
-    "RelationTriplet",
-    "RetrievalDocument",
-    "RetrievalResult",
-    "RetryPolicy",
-    "Scenario",
-    "ScenarioSpec",
-    "SessionSpan",
-    "StreamBuildConfig",
-    "TagSequence",
-    "TokenStream",
-    "TurnScript",
-    "UpdateResolution",
-    "UserProfile",
-    "UtteranceRow",
-    "VerificationDecision",
-    "bm25_rank",
-    "build_stream",
-    "compute_eer",
-    "cosine_distance",
-    "demo_scenario",
-    "eval_retrieval",
-    "eval_streams",
-    "eval_trigger",
-    "eval_verification",
-    "extract_sessions",
-    "face_verify",
-    "format_query_protocol",
-    "http_suite",
-    "jaccard_score",
-    "make_supervision_masks",
-    "mock_suite",
-    "parse_query_protocol",
-    "parse_stream",
-    "pass_at_k",
-    "polling_tick",
-    "render_profile",
-    "rerank_by_keywords",
-    "retrieve_topk",
-    "run_agent",
-    "run_management_cycle",
-    "run_walkthrough",
-    "scenario_from_json",
-    "scenario_to_json",
-    "seed_profile",
-    "serialize_stream",
-    "simulate_lifelong_run",
-    "span_match_at_n",
-    "spans_to_labels",
-    "speaker_verify",
-    "synth_scenario",
-    "tag_stream",
-]

@@ -221,7 +221,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_store_inspect(args: argparse.Namespace) -> int:
     store = MemoryStore.load(args.dir)
-    users = []
+    users, neighbors = [], store.neighbor_counts()
     for user_id in store.user_ids:
         profile = store.lookup_user(user_id)
         users.append(
@@ -232,7 +232,7 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
                 "facts": len(profile.facts),
                 "summaries": len(profile.dialog_summaries),
                 "persona_slots_set": len(profile.persona),
-                "neighbors": len(store.connected_users(user_id)),
+                "neighbors": neighbors[user_id],
             }
         )
     payload = {"users": users, "audit_entries": len(store.audit_entries)}

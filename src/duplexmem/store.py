@@ -14,17 +14,16 @@ voice keys are rows of one append-only KeyMatrix per modality, in creation
 view ever mutates. Rows are never changed or removed. Edges live only in the
 graph.
 
-Persistence is a directory: a compact JSON manifest, a content-addressed
-sidecar holding the face key rows and then the voice key rows as float32,
-and the voice keys' cached AS-norm statistics when there are any
-(checksummed from the manifest), and an append-only JSONL audit log whose
-committed length the manifest records. Renaming the manifest into place is
-the one commit point, so a persist that stops anywhere leaves the old store
-or the new one; see MemoryStore.persist.
+Persistence is a directory: store.json (a header line, then one line per
+user record), an append-only key file and an append-only JSONL audit log.
+Renaming store.json into place is the one commit point, and a persist writes
+and hashes only what changed since the store last read or wrote the
+directory; see MemoryStore.persist.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import logging
@@ -33,7 +32,7 @@ import re
 import threading
 import types
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,13 +50,15 @@ logger = logging.getLogger(__name__)
 
 UNKNOWN_USER_NAME = "unknown_user"
 
-STORE_FORMAT = "memory-store/2"
-_FORMAT_1 = "memory-store/1"  # still loads
+STORE_FORMAT = "memory-store/3"
+_FORMAT_2, _FORMAT_1 = "memory-store/2", "memory-store/1"  # older formats, which still load
 _MANIFEST_FILE = "store.json"
-_AUDIT_FILE = "audit.log"
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")  # CohortSet.fingerprint
-# what persist writes, and so may delete once the manifest no longer names it
-_OWN_FILE = re.compile(r"(store\.json|embeddings(-[0-9a-f]{64})?\.bin|audit(-\d+)?\.log)(\.tmp)?")
+# what persist writes (embeddings files are older formats' key sidecars), and
+# so may delete once the manifest no longer names it
+_OWN_FILE = re.compile(
+    r"(store\.json|embeddings(-[0-9a-f]{64})?\.bin|keys(-\d+)?\.bin|audit(-\d+)?\.log)(\.tmp)?"
+)
 
 
 class StoreError(Exception):
@@ -81,7 +82,7 @@ class ReplacementIntegrityError(StoreError):
 
 
 class StoreChecksumError(StoreError):
-    """Persisted embedding sidecar does not match its manifest checksum."""
+    """Persisted key rows or key statistics do not match their checksum."""
 
 
 @dataclass(frozen=True)
@@ -213,17 +214,20 @@ class UserProfile:
         """A profile from its manifest record (to_payload's form, read from
         disk), with every check that record can fail."""
         version, name = record["version"], record["name"]
+        persona = _expect(record["persona"], dict, "a persona")
         if type(version) is not int or version < 1:
             raise StoreError(f"profile versions start at 1 and are integers, not {version!r}")
         if type(name) is not str:
             raise StoreError(f"profile names are strings, not {name!r}")
+        if persona and not all(type(value) is str for value in persona.values()):
+            raise StoreError(f"persona values are strings: {persona!r}")
         profile = object.__new__(cls)
         profile.__dict__.update(  # frozen: the fields are set in place, once
             user_id=user_id,
             name=name,
             facts=tuple([_item(i) for i in record["facts"]]),
             dialog_summaries=tuple([_item(i) for i in record["dialog_summaries"]]),
-            persona=types.MappingProxyType(dict(_expect(record["persona"], dict, "a persona"))),
+            persona=types.MappingProxyType(dict(persona)),
             version=version,
         )
         return profile
@@ -274,6 +278,16 @@ class MemoryStore:
         self._store_version = 0
         self._next_user = 1
         self._disk: _Committed | None = None  # what it last read or wrote
+        # persist's memos, changed only by load and persist: each user's
+        # store.json line and the snapshot it encodes; store.json as load
+        # read it, with the profile of each user line persist may write as
+        # it is, until the next persist splits it; and the sha256 state of
+        # the first n key rows. The state changes with _disk, so a committed
+        # key file that _disk names never holds more rows than it covers.
+        self._lines: dict[str, bytes] = {}
+        self._line_of: dict[str, UserProfile] = {}
+        self._unsplit: tuple[bytes, list[UserProfile | None]] | None = None
+        self._key_digest = (0, hashlib.sha256())
 
     # -- read side -------------------------------------------------------
 
@@ -340,6 +354,15 @@ class MemoryStore:
                 elif to_user == user_id:
                     pairs.add((from_user, relation))
             return sorted(pairs)
+
+    def neighbor_counts(self) -> dict[str, int]:
+        """len(connected_users(uid)) for every user, from one pass over the edges."""
+        with self._lock:
+            counts = dict.fromkeys(self._users, 0)
+            pairs = {(f, t, r) for f, r, t in self._edges} | {(t, f, r) for f, r, t in self._edges}
+            for user_id, _, _ in pairs:
+                counts[user_id] += 1
+            return counts
 
     # -- write side ------------------------------------------------------
 
@@ -519,9 +542,7 @@ class MemoryStore:
             return (
                 self._persona_slots == other._persona_slots
                 and self._users == other._users
-                and all(
-                    list(self._keys[m].view()) == list(other._keys[m].view()) for m in self._keys
-                )
+                and all(_same_keys(self._keys[m].view(), other._keys[m].view()) for m in self._keys)
                 and self._edges == other._edges
                 and self._store_version == other._store_version
                 and self._next_user == other._next_user
@@ -533,151 +554,181 @@ class MemoryStore:
     # -- persistence -----------------------------------------------------
 
     def persist(self, path: str) -> None:
-        """Write the store to a directory: manifest, key sidecar, audit log.
+        """Write the store to a directory: store.json, key file, audit log.
 
-        Renaming the new manifest over store.json is the one commit point.
-        Before it, persist changes no byte that the current manifest names:
-        the sidecar's name is the sha256 of its bytes, and the log only grows
-        past the length that manifest records or goes to a new file. So a
-        persist that stops anywhere leaves the old store or the new one for
-        load. After it, persist deletes the files the new manifest no longer
-        names. Its own audit entry joins the store's entries at the commit,
-        so a persist that fails before it leaves no entry behind. The log is
-        appended to when this store last loaded from or persisted to this
-        directory and the manifest there is unchanged since; otherwise it is
-        written afresh. One directory has one writer at a time; concurrent
+        Renaming the new store.json into place is the one commit point.
+        Before it, persist changes no byte that the current store.json names:
+        the key file and the log only grow past the lengths it records, or go
+        to new files. So a persist that stops anywhere leaves the old store
+        or the new one for load. After it, persist deletes the files the new
+        store.json no longer names. Its own audit entry joins the store's
+        entries at the commit, so a persist that fails before it leaves no
+        entry behind. One directory has one writer at a time; concurrent
         persists of one store serialize on its writer lock, and the last one
-        wins. Key-side statistics that a KeyMatrix caches follow the key rows
-        in the sidecar, named by the manifest's key_stats; with none cached,
-        neither is written.
+        wins.
+
+        A persist writes only what changed since the store last read or
+        wrote the directory: when store.json there is the one it last read
+        or wrote, the new key rows and audit entries are appended to the
+        committed files, else both are written afresh under unused names. It
+        hashes only the key rows added since it last read or wrote any
+        directory, carrying the sha256 state of the rows before them, and
+        encodes only the profiles whose snapshot is not the one it last read
+        or wrote; the other user lines are the bytes it read or wrote then.
+        Key-side statistics that a KeyMatrix caches go into the header, as
+        base64 of their float64 means and stds, with their own sha256.
         """
         with self._lock:
             entry = {"action": "persist", "path": str(path), "store_version": self._store_version}
             os.makedirs(path, exist_ok=True)
-            views = {kind: matrix.view() for kind, matrix in self._keys.items()}
-            planes = [view.rows() for view in views.values()]  # face rows, then voice rows
-            key_stats = {}  # then any cached statistics: means, then stds
-            for kind, matrix in self._keys.items():
-                stats = matrix.stats()
-                if stats is not None:
-                    fingerprint, means, stds = stats
-                    key_stats[kind] = {"cohort": fingerprint, "rows": len(means)}
-                    planes += [means.astype("<f8"), stds.astype("<f8")]
-            digest = hashlib.sha256()
-            for plane in planes:
-                digest.update(plane)
-            sidecar = f"embeddings-{digest.hexdigest()}.bin"
-            _atomic_write(os.path.join(path, sidecar), *planes)
-
             manifest_path = os.path.join(path, _MANIFEST_FILE)
-            fd, audit_file, entries, offset = self._open_log(path, _file_key(manifest_path))
-            try:
-                new = "".join(
-                    json.dumps(e, sort_keys=True) + "\n" for e in [*self._audit[entries:], entry]
-                )
-                os.ftruncate(fd, offset)  # drop what a crashed persist appended
-                audit_bytes = _write(fd, new.encode("utf-8"), offset)
-                os.fsync(fd)
-                log_key = _file_key(fd)[:2]
-            finally:
-                os.close(fd)
+            disk = self._disk
+            if disk is not None and _file_key(manifest_path) != disk.manifest:
+                disk = None
+            views = {kind: matrix.view() for kind, matrix in self._keys.items()}
+            hashed, digest = self._key_digest
+            digest = digest.copy()
 
-            manifest = {
+            def key_rows(start: int) -> tuple[np.ndarray, int]:
+                rows = np.concatenate([v.rows(start) for v in views.values()], axis=1, dtype="<f4")
+                digest.update(rows[hashed - start:])  # start <= hashed: see __init__
+                return rows, len(views["face"])
+
+            def log_lines(start: int) -> tuple[bytes, int]:
+                new = [*self._audit[start:], entry]
+                text = "".join(json.dumps(e, sort_keys=True) + "\n" for e in new)
+                return text.encode("utf-8"), start + len(new)
+
+            keys = _append(path, disk and disk.keys, "keys", ".bin", key_rows)
+            audit = _append(path, disk and disk.audit, "audit", ".log", log_lines)
+            header = {
                 "format": STORE_FORMAT,
                 "store_version": self._store_version,
                 "next_user": self._next_user,
                 "persona_slots": list(self._persona_slots),
-                "users": {uid: self._users[uid].to_payload() for uid in sorted(self._users)},
                 "edges": sorted(list(key) for key in self._edges),
                 "key_rows": views["face"].ids,
                 "key_dims": {kind: view.matrix.dim for kind, view in views.items()},
-                "embeddings_file": sidecar,
-                "embeddings_sha256": digest.hexdigest(),
-                "audit_file": audit_file,
-                "audit_bytes": audit_bytes,
+                "keys_file": keys.name,
+                "keys_sha256": digest.hexdigest(),
+                "audit_file": audit.name,
+                "audit_bytes": audit.length,
             }
+            key_stats = {}
+            for kind, matrix in self._keys.items():
+                stats = matrix.stats()
+                if stats is not None:
+                    key_stats[kind] = _stats_block(*stats)
             if key_stats:
-                manifest["key_stats"] = key_stats
-            _fsync_dir(path)  # the new names are durable before the manifest cites them
-            _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True).encode("utf-8"))
+                header["key_stats"] = key_stats
+            if self._unsplit is not None:  # the lines load read, split only now
+                text, kept = self._unsplit
+                lines = text.split(b"\n")[1:]
+                if len(lines) == len(kept):  # else a line held no one whole record
+                    for profile, line in zip(kept, lines):
+                        if profile is not None:
+                            self._line_of[profile.user_id] = profile
+                            self._lines[profile.user_id] = line
+                self._unsplit = None
+            lines = [json.dumps(header, sort_keys=True).encode("utf-8")]
+            for uid in sorted(self._users):
+                profile = self._users[uid]
+                if self._line_of.get(uid) is not profile:
+                    self._line_of[uid] = profile
+                    self._lines[uid] = json.dumps(profile.to_payload(), sort_keys=True).encode("utf-8")
+                lines.append(self._lines[uid])
+            lines.append(b"")  # every line ends in a newline
+            _fsync_dir(path)  # the new names are durable before store.json cites them
+            _atomic_write(manifest_path, b"\n".join(lines))
             self._audit.append(entry)
-            self._disk = _Committed(
-                _file_key(manifest_path), audit_file, log_key, len(self._audit), audit_bytes
-            )
+            self._disk = _Committed(_file_key(manifest_path), audit, keys)
+            self._key_digest = (keys.count, digest)
             _fsync_dir(path)
             for name in os.listdir(path):
-                if name not in (_MANIFEST_FILE, sidecar, audit_file) and _OWN_FILE.fullmatch(name):
+                if name not in (_MANIFEST_FILE, keys.name, audit.name) and _OWN_FILE.fullmatch(name):
                     os.unlink(os.path.join(path, name))
-
-    def _open_log(
-        self, path: str, manifest_key: tuple[int, ...] | None
-    ) -> tuple[int, str, int, int]:
-        """The audit log to write: its descriptor, its name, and the number
-        of entries and bytes already committed in it. That is the committed
-        log when the manifest is the one this store last read or wrote, else
-        a new file under a name nothing in the directory uses."""
-        disk = self._disk
-        if disk is not None and manifest_key == disk.manifest:
-            try:
-                fd = os.open(os.path.join(path, disk.audit_file), os.O_WRONLY)
-            except FileNotFoundError:
-                pass
-            else:
-                key = _file_key(fd)
-                if key[:2] == disk.log and key[2] >= disk.audit_bytes:
-                    return fd, disk.audit_file, disk.entries, disk.audit_bytes
-                os.close(fd)
-        name, k = _AUDIT_FILE, 0
-        while True:
-            try:
-                flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-                return os.open(os.path.join(path, name), flags, 0o666), name, 0, 0
-            except FileExistsError:
-                k += 1
-                name = f"audit-{k}.log"
 
     @classmethod
     def load(cls, path: str) -> "MemoryStore":
-        """Read a store written by persist, in this format or memory-store/1.
+        """Read a store written by persist, in this format or memory-store/2
+        or /1; the next persist of a store of an older format writes this
+        one afresh.
 
-        A manifest, sidecar or audit log that cannot be read back raises
+        A store.json, key file or audit log that cannot be read back raises
         StoreError, chained to the cause, and so does a store that breaks an
         invariant: an edge endpoint or key row that is no user, a persona
-        slot outside the schema, a profile version or next_user below 1, a
-        store_version below 0, any of these three that is no int (bools are
-        not), a name, fact or summary text or timestamp that is no str, an
-        empty fact or summary text, a manifest, users or persona that is no
-        JSON object, edges that are no list, a user id at or above next_user,
-        an audit log shorter than its committed length, or a key_stats block
-        whose rows are no int in 1..n, whose cohort is no sha256 hex digest,
-        or whose means are not finite or stds not finite and above 0. Each
-        key plane goes into its KeyMatrix as one (n, dim) array, with its
-        statistics restored (key_stats checks them on first use), and each
-        profile is built straight from its record.
+        slot outside the schema, persona slots that are no JSON array of
+        strings, a persona value that is no str, a profile version or
+        next_user below 1, a store_version below 0, any of these three that
+        is no int (bools are not), a name, fact or summary text or timestamp
+        that is no str, an empty fact or summary text, a header, user
+        record (users, in the older formats) or persona that is no JSON
+        object, two user lines of one user id, edges that are no list, a user
+        id at or above next_user, a key file or audit log shorter than its
+        committed length, or a key_stats block whose rows are no int in
+        1..n, whose cohort is no sha256 hex digest, or whose means are not
+        finite or stds not finite and above 0. Key rows or statistics that
+        do not match their sha256 raise StoreChecksumError.
+
+        Load reads only the committed length of each appended file: a tail
+        past it is what a crashed persist left. It decodes store.json in one
+        json.loads, builds each profile straight from its record, and keeps
+        a user line for the next persist when its record has exactly the
+        keys UserProfile.to_payload writes (and no line at all when the
+        lines do not hold one record each). Each key modality goes into its
+        KeyMatrix as one (n, dim) view of the key file's bytes, with its
+        statistics restored (key_stats checks them on first use). The key
+        rows' sha256 state is kept, so the next persist hashes only the rows
+        appended after them. A memory-store/2 sidecar's statistics are not
+        read: they are derived, and scored again on first use.
         """
         try:
             with open(os.path.join(path, _MANIFEST_FILE), "rb") as fh:
                 manifest_key = _file_key(fh.fileno())
-                manifest = _expect(json.load(fh), dict, "the manifest")
+                data = fh.read()
+            text = data.removesuffix(b"\n")
+            try:  # the header and the user records, in one decode
+                manifest, *records = _json_lines(text)
+            except ValueError:  # memory-store/1 and /2 are one JSON object, on any lines
+                manifest, records = json.loads(data), []
+            manifest = _expect(manifest, dict, "the manifest")
             fmt = manifest.get("format")
-            if fmt not in (STORE_FORMAT, _FORMAT_1):
+            if fmt not in (STORE_FORMAT, _FORMAT_2, _FORMAT_1):
                 raise StoreError(f"unsupported store format {fmt!r}")
             if manifest.get("aux"):  # older manifests carry "aux": [], which loads
                 raise StoreError("aux documents are no longer supported")
-            with open(os.path.join(path, manifest["embeddings_file"]), "rb") as fh:
-                sidecar = fh.read()
-            if hashlib.sha256(sidecar).hexdigest() != manifest["embeddings_sha256"]:
-                raise StoreChecksumError("embedding sidecar does not match its manifest checksum")
-
-            store = cls(persona_slots=tuple(manifest["persona_slots"]))
-            users = _expect(manifest["users"], dict, "users")
-            if fmt == _FORMAT_1:
-                ids, planes, stats = list(users), _format_1_rows(users, sidecar, store._keys), {}
+            slots = _expect(manifest["persona_slots"], list, "persona slots")
+            if not set(map(type, slots)) <= {str}:
+                raise StoreError(f"persona slots are strings, not {slots!r}")
+            store = cls(persona_slots=tuple(slots))
+            matrices, n = store._keys, len(manifest.get("key_rows", ()))
+            if fmt != _FORMAT_1:
+                dims = manifest["key_dims"]
+                for kind, matrix in matrices.items():
+                    if dims[kind] != matrix.dim:
+                        raise EmbeddingShapeError(f"{kind} keys have {matrix.dim} dims, not {dims[kind]}")
+            if fmt == STORE_FORMAT:
+                if not set(map(type, records)) <= {dict}:
+                    raise StoreError("user records are JSON objects")
+                users = {record["user_id"]: record for record in records}
+                if len(users) != len(records) or not set(map(type, users)) <= {str}:
+                    raise StoreError("user ids are strings, one line each")
+                ids = manifest["key_rows"]
+                planes, keys, store._key_digest = _key_file_rows(path, manifest, n, matrices)
+                stats = _restored_stats(manifest.get("key_stats", {}), n, matrices)
             else:
-                ids, (planes, stats) = manifest["key_rows"], _planes(sidecar, manifest, store._keys)
+                with open(os.path.join(path, manifest["embeddings_file"]), "rb") as fh:
+                    sidecar = fh.read()
+                if hashlib.sha256(sidecar).hexdigest() != manifest["embeddings_sha256"]:
+                    raise StoreChecksumError("embedding sidecar does not match its manifest checksum")
+                users, keys, stats = _expect(manifest["users"], dict, "users"), None, {}
+                if fmt == _FORMAT_1:
+                    ids, planes = list(users), _format_1_rows(users, sidecar, matrices)
+                else:
+                    ids, planes = manifest["key_rows"], _format_2_rows(sidecar, n, matrices)
             if sorted(ids) != sorted(users):
                 raise StoreError("the key rows are not one row for each user")
-            for kind, matrix in store._keys.items():
+            for kind, matrix in matrices.items():
                 matrix.extend(ids, planes[kind])
                 if kind in stats:
                     matrix.restore_stats(*stats[kind])
@@ -687,11 +738,17 @@ class MemoryStore:
                     raise StoreError(f"{name} is an integer of at least {least}, not {value!r}")
             store._next_user = manifest["next_user"]
             store._store_version = manifest["store_version"]
+            kept = []  # each line's profile, when persist may write the line as it is
             for uid, record in users.items():
                 if int(uid.removeprefix("user_")) >= store._next_user:
                     raise StoreError(f"next_user {store._next_user} is not above {uid!r}")
                 store._users[uid] = profile = UserProfile._of_record(uid, record)
                 store._validate_persona(profile.persona)
+                # _of_record and the user ids read every key to_payload writes,
+                # so a record of as many keys holds no other
+                kept.append(profile if len(record) == _RECORD_SIZE else None)
+            if fmt == STORE_FORMAT:
+                store._unsplit = (text, kept)
             for f, r, t in _expect(manifest["edges"], list, "edges"):
                 for endpoint in (f, t):
                     if endpoint not in users:
@@ -699,7 +756,7 @@ class MemoryStore:
                 RelationTriplet(f, r, t)  # raises on a self loop or an empty label
                 store._edges.add((f, r, t))
             if fmt == _FORMAT_1:
-                audit_path = os.path.join(path, _AUDIT_FILE)
+                audit_path = os.path.join(path, "audit.log")
                 if os.path.exists(audit_path):
                     with open(audit_path, "rb") as fh:
                         store._audit = [json.loads(line) for line in fh if line.strip()]
@@ -707,25 +764,93 @@ class MemoryStore:
             audit_file, audit_bytes = manifest["audit_file"], manifest["audit_bytes"]
             with open(os.path.join(path, audit_file), "rb") as fh:
                 log = fh.read(audit_bytes)  # a tail past it is a crashed persist's
-                log_key = _file_key(fh.fileno())[:2]
+                log_inode = _file_key(fh.fileno())[:2]
             if len(log) != audit_bytes:
                 raise StoreError(f"audit log is shorter than its committed {audit_bytes} bytes")
-            store._audit = json.loads(b"[" + b",".join(log.splitlines()) + b"]")
-            store._disk = _Committed(manifest_key, audit_file, log_key, len(store._audit), audit_bytes)
+            store._audit = _json_lines(log)
+            audit = _Tail(audit_file, log_inode, audit_bytes, len(store._audit))
+            store._disk = _Committed(manifest_key, audit, keys)
             return store
         except (KeyError, TypeError, ValueError, EmbeddingShapeError) as exc:
             raise StoreError(f"unreadable store {path}: {type(exc).__name__}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class _Committed:
+_RECORD_SIZE = len(UserProfile("").to_payload())
+
+
+def _json_lines(data: bytes) -> list[Any]:
+    """The values of JSON lines, each ended by a newline but maybe the last,
+    in one decode."""
+    return json.loads(b"[" + data.removesuffix(b"\n").replace(b"\n", b",") + b"]")
+
+
+def _same_keys(a: KeyView, b: KeyView) -> bool:
+    """Whether two views hold the same (user_id, key) pairs, as comparing
+    list(a) with list(b) tells: both read by user id, ties in row order."""
+    if a.ids == b.ids:  # rows in the same order: compare them in place
+        return np.array_equal(a.rows(), b.rows())
+    ids = [np.array(view.ids, dtype=str) for view in (a, b)]
+    order = [np.argsort(row_ids, kind="stable") for row_ids in ids]
+    return np.array_equal(ids[0][order[0]], ids[1][order[1]]) and np.array_equal(
+        a.rows()[order[0]], b.rows()[order[1]]
+    )
+
+
+class _Tail(NamedTuple):
+    """An append-only file as a store.json commits it."""
+
+    name: str
+    inode: tuple[int, ...]  # device and inode
+    length: int  # committed bytes
+    count: int  # and the audit entries or key rows they hold
+
+
+class _Committed(NamedTuple):
     """What a store last read from or wrote to a directory."""
 
-    manifest: tuple[int, ...]  # _file_key of store.json
-    audit_file: str
-    log: tuple[int, ...]  # device and inode of the log
-    entries: int  # audit entries in the committed log
-    audit_bytes: int  # and their length
+    manifest: tuple[int, ...] | None  # _file_key of store.json
+    audit: _Tail
+    keys: _Tail | None  # None when read from memory-store/2
+
+
+def _append(
+    path: str,
+    committed: _Tail | None,
+    stem: str,
+    suffix: str,
+    tail_from: Callable[[int], tuple[bytes | np.ndarray, int]],
+) -> _Tail:
+    """Write an append-only file and make it durable; tail_from(count) gives
+    the bytes that follow the first count entries or rows, and the count
+    after them. The file is the committed one, written past its committed
+    length, when it is still the file the committed tail names; else a new
+    file under a name nothing in the directory uses, written from 0."""
+    fd, start = None, committed
+    if committed is not None:
+        try:
+            fd = os.open(os.path.join(path, committed.name), os.O_WRONLY)
+        except FileNotFoundError:
+            pass
+        else:
+            key = _file_key(fd)
+            if key[:2] != committed.inode or key[2] < committed.length:
+                os.close(fd)
+                fd = None
+    k = 0
+    while fd is None:
+        start = _Tail(f"{stem}-{k}{suffix}" if k else stem + suffix, (), 0, 0)
+        try:
+            fd = os.open(os.path.join(path, start.name), os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            k += 1
+    try:
+        data, count = tail_from(start.count)
+        os.ftruncate(fd, start.length)  # drop what a crashed persist appended
+        end = _write(fd, data, start.length)
+        os.fsync(fd)
+        return _Tail(start.name, _file_key(fd)[:2], end, count)
+    finally:
+        os.close(fd)
 
 
 def _file_key(file: str | int) -> tuple[int, ...] | None:
@@ -738,39 +863,79 @@ def _file_key(file: str | int) -> tuple[int, ...] | None:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
-def _planes(
-    sidecar: bytes, manifest: Mapping[str, Any], matrices: Mapping[str, KeyMatrix]
-) -> tuple[dict[str, np.ndarray], dict[str, tuple[str, np.ndarray, np.ndarray]]]:
-    """Each modality's key rows, in row order, as views of the sidecar, and
-    the key-side statistics it carries: (cohort fingerprint, means, stds)."""
-    n, dims = len(manifest["key_rows"]), manifest["key_dims"]
-    for kind, matrix in matrices.items():
-        if dims[kind] != matrix.dim:
-            raise EmbeddingShapeError(f"{kind} keys have {matrix.dim} dims, not {dims[kind]}")
-    blocks = manifest.get("key_stats", {})
+def _stats_block(fingerprint: str, means: np.ndarray, stds: np.ndarray) -> dict[str, Any]:
+    """A KeyMatrix's cached statistics as the header's key_stats block."""
+    data = [values.astype("<f8").tobytes() for values in (means, stds)]
+    return {
+        "cohort": fingerprint,
+        "rows": len(means),
+        "means": binascii.b2a_base64(data[0], newline=False).decode("ascii"),
+        "stds": binascii.b2a_base64(data[1], newline=False).decode("ascii"),
+        "sha256": hashlib.sha256(b"".join(data)).hexdigest(),
+    }
+
+
+def _restored_stats(
+    blocks: Any, n: int, matrices: Mapping[str, KeyMatrix]
+) -> dict[str, tuple[str, np.ndarray, np.ndarray]]:
+    """The header's key_stats blocks, checked, as (cohort fingerprint, means,
+    stds) by key modality."""
     if type(blocks) is not dict or not set(blocks) <= set(matrices):
         raise StoreError(f"key_stats maps key modalities to blocks, not {blocks!r}")
+    stats = {}
     for kind, block in blocks.items():
         rows, fingerprint = block["rows"], block["cohort"]
         if type(rows) is not int or not 1 <= rows <= n:
             raise StoreError(f"{kind} key_stats rows is an integer in 1..{n}, not {rows!r}")
         if type(fingerprint) is not str or not _FINGERPRINT.fullmatch(fingerprint):
             raise StoreError(f"{kind} key_stats cohort is no sha256 hex digest: {fingerprint!r}")
-    start = 4 * n * sum(dims[kind] for kind in matrices)
-    if len(sidecar) != start + 16 * sum(block["rows"] for block in blocks.values()):
-        raise StoreChecksumError("embedding sidecar does not hold the manifest's keys and stats")
-    flat, planes, stats = np.frombuffer(sidecar, "<f4", start // 4), {}, {}
+        # the checksum catches what a lenient base64 decode lets through
+        data = [binascii.a2b_base64(block[name]) for name in ("means", "stds")]
+        if [len(values) for values in data] != [8 * rows, 8 * rows]:
+            raise StoreChecksumError(f"{kind} key_stats do not hold {rows} means and stds")
+        data = b"".join(data)
+        if hashlib.sha256(data).hexdigest() != block["sha256"]:
+            raise StoreChecksumError(f"{kind} key_stats do not match their checksum")
+        values = np.frombuffer(data, "<f8").reshape(2, rows).astype(float)
+        means, stds = values
+        if not (np.isfinite(values).all() and (stds > 0).all()):
+            raise StoreError(f"{kind} key statistics need finite means and stds above 0")
+        stats[kind] = (fingerprint, means, stds)
+    return stats
+
+
+def _key_file_rows(
+    path: str, manifest: Mapping[str, Any], n: int, matrices: Mapping[str, KeyMatrix]
+) -> tuple[dict[str, np.ndarray], _Tail, tuple[int, Any]]:
+    """The key file's n committed rows, checked against their sha256, as a
+    strided view per modality; the file's tail; and the sha256 state."""
+    name, width = manifest["keys_file"], sum(matrix.dim for matrix in matrices.values())
+    with open(os.path.join(path, name), "rb") as fh:
+        data = fh.read(4 * width * n)  # a tail past it is a crashed persist's
+        tail = _Tail(name, _file_key(fh.fileno())[:2], len(data), n)
+    if len(data) != 4 * width * n:
+        raise StoreChecksumError("key file is shorter than its committed rows")
+    digest = hashlib.sha256(data)
+    if digest.hexdigest() != manifest["keys_sha256"]:
+        raise StoreChecksumError("key file does not match its manifest checksum")
+    table, planes, start = np.frombuffer(data, "<f4").reshape(n, width), {}, 0
     for kind, matrix in matrices.items():
-        planes[kind], flat = flat[:n * matrix.dim].reshape(n, matrix.dim), flat[n * matrix.dim:]
-    for kind in matrices:  # in persist's order, after every key row
-        if kind in blocks:
-            m = blocks[kind]["rows"]
-            block = np.frombuffer(sidecar, "<f8", 2 * m, start).reshape(2, m).astype(float)
-            means, stds = block
-            if not (np.isfinite(block).all() and (stds > 0).all()):
-                raise StoreError(f"{kind} key statistics need finite means and stds above 0")
-            stats[kind], start = (blocks[kind]["cohort"], means, stds), start + 16 * m
-    return planes, stats
+        planes[kind], start = table[:, start:start + matrix.dim], start + matrix.dim
+    return planes, tail, (n, digest)
+
+
+def _format_2_rows(
+    sidecar: bytes, n: int, matrices: Mapping[str, KeyMatrix]
+) -> dict[str, np.ndarray]:
+    """memory-store/2 keeps every face row, then every voice row, as views
+    of its sidecar; the statistics after them are not read."""
+    planes, start = {}, 0
+    for kind, matrix in matrices.items():
+        if start + 4 * n * matrix.dim > len(sidecar):
+            raise StoreChecksumError("embedding sidecar is truncated")
+        planes[kind] = np.frombuffer(sidecar, "<f4", n * matrix.dim, start).reshape(n, matrix.dim)
+        start += 4 * n * matrix.dim
+    return planes
 
 
 def _format_1_rows(
@@ -798,13 +963,11 @@ def _write(fd: int, data: bytes | np.ndarray, offset: int) -> int:
     return offset
 
 
-def _atomic_write(path: str, *chunks: bytes | np.ndarray) -> None:
+def _atomic_write(path: str, data: bytes) -> None:
     tmp = path + ".tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        offset = 0
-        for chunk in chunks:
-            offset = _write(fd, chunk, offset)
+        _write(fd, data, 0)
         os.fsync(fd)
     finally:
         os.close(fd)

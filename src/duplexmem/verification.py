@@ -235,12 +235,13 @@ class KeyMatrix:
     def extend(self, user_ids: Sequence[str], values: np.ndarray | Sequence[np.ndarray]) -> None:
         """Copy row i of the (n, dim) array values into the next row, for
         user_ids[i]. values may be anything np.asarray makes such an array
-        of. Any other shape raises EmbeddingShapeError, and a row fails as
-        Embedding fails on it; both are checked before anything is written,
-        so then no row is added. The rows are one slice copied straight from
-        values, so loading a store makes no second copy of all its keys."""
+        of, strided views included. Any other shape raises
+        EmbeddingShapeError, and a row fails as Embedding fails on it; both
+        are checked before anything is written, so then no row is added. The
+        rows are one slice copied straight from values, so loading a store
+        makes no second copy of all its keys."""
         try:
-            values = np.ascontiguousarray(values, dtype=np.float32)
+            values = np.asarray(values, dtype=np.float32)
         except ValueError as exc:  # ragged rows, say
             raise EmbeddingShapeError(f"{self.modality} key rows are no array: {exc}") from exc
         if values.shape != (len(user_ids), self.dim):
@@ -249,8 +250,9 @@ class KeyMatrix:
                 f"({len(user_ids)}, {self.dim}), got {values.shape}"
             )
         # np.linalg.norm of a float32 vector is the float32 sqrt of its own
-        # dot product, so these are the norms Embedding computes
-        norms = np.sqrt(np.array([row.dot(row) for row in values], np.float32))
+        # dot product, and matmul takes one such dot per row, so these are
+        # the norms Embedding computes
+        norms = np.sqrt(np.matmul(values[:, None, :], values[:, :, None])[:, 0, 0])
         if not np.all(np.isfinite(norms) & (norms != 0.0)):
             raise EmbeddingShapeError("embedding norm must be positive and finite")
         first, end = len(self._ids), len(self._ids) + len(user_ids)
@@ -356,9 +358,11 @@ class KeyView(Sequence[tuple[str, Embedding]]):
         """The user id of each row, in row order."""
         return self.matrix._ids[:self._n]
 
-    def rows(self) -> np.ndarray:
-        """A little-endian float32 copy of the view's rows, in row order."""
-        return self.matrix._data[0][:self._n].astype("<f4")
+    def rows(self, start: int = 0) -> np.ndarray:
+        """The view's rows from row start on, in row order, read-only."""
+        rows = self.matrix._data[0][start:self._n]
+        rows.setflags(write=False)  # this view only: extend writes rows past the ids
+        return rows
 
     def similarities(self, query: Embedding) -> np.ndarray:
         """Clamped cosine similarity of the query to every row, in row order,

@@ -54,48 +54,48 @@ DIGESTS: dict[str, dict[str, str]] = {
         "exit": "0",
         "stdout": "6587cd9add824abd47d3807fddb31b045ff325f7ca29e9fff2a7a1a33d8bad4a",
         "store/audit.log": "1162ca9bb4c97e1882c8087813e673af4f46b4766869e077f024ae994c8dc94e",
-        "store/embeddings-5a29c4f6a557be9a8863de631cef07e94b61323c6e0c00ff500b409bee33d28e.bin": "5a29c4f6a557be9a8863de631cef07e94b61323c6e0c00ff500b409bee33d28e",
-        "store/store.json": "8342d39e820934ed210a6f9b7182d8f58dccf0b77027d9c598ef30065ca617ec",
+        "store/keys.bin": "f988fe0abcb01bc5cb2346504e2d277c4c2b8934048a0f2e298c87dc3e657126",
+        "store/store.json": "8834cb075460a8ff464b3619b79a8be99b606ce70765204aba71aa4ae01b941c",
     },
     "simulate --seed 0": {
         "events.jsonl": "10738f15d50c3e83f743e2304f7dc7f94d91f405a0061939fe13b220d3a95fe6",
         "exit": "0",
         "stdout": "a9965142996aa42b167a613dc6f3b8f9aca8b939b1aa3fcd9865c143c4e004db",
         "store/audit.log": "a152c3ba4ad03d0b430806c8fdd6570693f8fee081ccbaebb2cc5c295252190b",
-        "store/embeddings-a8de189caca0bccd7fe3a8757e97e640c515376af34695f387aabdca0c603e13.bin": "a8de189caca0bccd7fe3a8757e97e640c515376af34695f387aabdca0c603e13",
-        "store/store.json": "6320e8acf58664fd5864da0044c51edd9f5ec76f9739da0b3d6b99d5f2dfd2e9",
+        "store/keys.bin": "64b64d3a60b8106b43b90214a458ef9c53f63b26bab8cb77b38e1d02bb526937",
+        "store/store.json": "c7ce66ccfe2443808360194018f442f8b3b99600ff5ac520b3106cf635af706d",
     },
     "simulate --seed 1": {
         "events.jsonl": "2b324f985a694b7bae1619fd53e637094dcf404d44bcb4d1c0f75c7f4d75d9e6",
         "exit": "0",
         "stdout": "1d5ef9640f6ef3af430f6289d64788d195e9917f514f701d568547ddf578d678",
         "store/audit.log": "e3004988b07ec82aef3a15383b4d88495bce49b5007c8301a3731a052811748a",
-        "store/embeddings-1875ee6234035fb2abcfdc975fea09f5fec8f6d3175e0fa1f9f8f24b2b4fdcf1.bin": "1875ee6234035fb2abcfdc975fea09f5fec8f6d3175e0fa1f9f8f24b2b4fdcf1",
-        "store/store.json": "f369c12b7731654596a0440c791709a60c9ab31939a19c91614d6fcfc23e7318",
+        "store/keys.bin": "c1cf14c625184558014450454aad0f09b95b6e476685b7ad24902b1d204f748f",
+        "store/store.json": "51061befb155881348fc45fc677a0fc73c0eb58e86a6a84acfc25b2f8ca9aa24",
     },
     "simulate --seed 2": {
         "events.jsonl": "5c1d3230b284285b19564c3c203915624e6ac05f8cc78922ae8b16895f97bf95",
         "exit": "0",
         "stdout": "c1cfd04bf606f427c1fad7ffbe773d0ba3c36fcc67d9502e5eea7155e6752c81",
         "store/audit.log": "9cf87e329a1fcdb2def5727add9ba9be6ee5aa56ec3308b666a03c2e01dab564",
-        "store/embeddings-d61e7b0bf9fefe8934387424c428bdb716792f22e65823ba0dc1618c6f09a3eb.bin": "d61e7b0bf9fefe8934387424c428bdb716792f22e65823ba0dc1618c6f09a3eb",
-        "store/store.json": "87a81889978f53e6023d89e3a51b2618ddbe3ada586190bdc2ccce760a166d0a",
+        "store/keys.bin": "47f7c84d2b4d17e268447573ab4ef78a3c3571ceab0c70c3caff9a32954fbf48",
+        "store/store.json": "4a6c051c9c1c2c8f553a6e3f063691c03e046029794822497eba59e116daa72f",
     },
     "simulate --seed 3": {
         "events.jsonl": "9719f7f7116afe301161559413fdb32fafc1775ee39c7bb372d25b88e28c5512",
         "exit": "0",
         "stdout": "9c0ec62bf57fa504aed26e0a0ef7bc2d255b3dcefd184da34dc0905a69ed1815",
         "store/audit.log": "756d65ba16420a1182343d3ab1a040da94fcf1c187ebd663d3fd22f25799d549",
-        "store/embeddings-30cb01cfd26a3b69ed68b1468bbec739a9b8af602168ceb6f00ad50e1a66c19b.bin": "30cb01cfd26a3b69ed68b1468bbec739a9b8af602168ceb6f00ad50e1a66c19b",
-        "store/store.json": "9a00375e8e2b39b96d6e529a80a2aaf5f0380fc8b1ea17c037bb2c587c480c7b",
+        "store/keys.bin": "327068141fddc083fa3e6fa72422db089c5d138005322c8e7a61d2d086f07a12",
+        "store/store.json": "71305b205b0c5f1bc0ef80c24e94baf3b6ef3ffaedd30b91dbf143cd2475964f",
     },
     "simulate --seed 4": {
         "events.jsonl": "2dd4fa1a589d3da80c17d43629d519454358935309a9afc7a529b7cb6e825e00",
         "exit": "0",
         "stdout": "a56e8c3e6135c6362e2c8523829b7d2e65b7d940c8ee562006747eff7773df2f",
         "store/audit.log": "ba7e328b9b478fbfcdf6611c705883be3e531d010a976b6d1465d42259eb0fd4",
-        "store/embeddings-9ba909c4e357c9966b7c6ab10fd0664b75b81932bcc86f3c794ea7e0c9851df1.bin": "9ba909c4e357c9966b7c6ab10fd0664b75b81932bcc86f3c794ea7e0c9851df1",
-        "store/store.json": "d5184a8e67da5bbd018e9ebc8c6ffaf145c1003d7264446276999e2baf739581",
+        "store/keys.bin": "7a1b1a0601b7ddd7abac4879e213a60afd4d144da8ff746bade6f7fe97970c6e",
+        "store/store.json": "d0bfb2a57ebfdff7bce3cea7fd95d551545061c9e2975bfa4470c72cfd9e24db",
     },
     "synth --seed 0 --days 21": {
         "exit": "0",

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from duplexmem import cli
@@ -16,6 +17,8 @@ from duplexmem.harness import (
     scenario_store,
     scenario_to_json,
 )
+from duplexmem.store import ExtractedMemory, MemoryStore, RelationTriplet
+from duplexmem.verification import Embedding
 
 
 def run_cli(capsys, *argv):
@@ -325,6 +328,36 @@ class TestStoreInspect:
             assert line.startswith(uid)
             assert line.endswith(f", {len(store.connected_users(uid))} neighbors")
 
+    def test_machine_output_counts_neighbors_as_connected_users_does(self, capsys, tmp_path):
+        store, _ = scenario_store(demo_scenario())
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            store.create_user(Embedding(rng.normal(size=512), "face"),
+                              Embedding(rng.normal(size=256), "voice"), ExtractedMemory())
+        ids = store.user_ids
+        for _ in range(300):
+            f, t = rng.choice(len(ids), 2, replace=False)
+            relation = str(rng.choice(["friend", "colleague", "sister"]))
+            store.add_relation_edge(RelationTriplet(ids[f], relation, ids[t]))
+        store.persist(str(tmp_path / "store"))
+        loaded = MemoryStore.load(str(tmp_path / "store"))
+        users = []
+        for uid in loaded.user_ids:  # the payload as built before, with connected_users
+            profile = loaded.lookup_user(uid)
+            users.append({
+                "user_id": uid, "name": profile.name, "version": profile.version,
+                "facts": len(profile.facts), "summaries": len(profile.dialog_summaries),
+                "persona_slots_set": len(profile.persona),
+                "neighbors": len(loaded.connected_users(uid)),
+            })
+        expected = {"users": users, "audit_entries": len(loaded.audit_entries)}
+        code, out, _ = run_cli(
+            capsys, "store", "inspect", "--dir", str(tmp_path / "store"), "--format", "machine"
+        )
+        assert code == 0
+        assert out == json.dumps(expected, sort_keys=True, indent=1) + "\n"
+        assert max(user["neighbors"] for user in users) > 10
+
     def test_dir_that_is_a_file(self, capsys, tmp_path):
         path = tmp_path / "store"
         path.write_text("")
@@ -334,13 +367,15 @@ class TestStoreInspect:
 
     def test_store_errors_are_reported_not_raised(self, capsys, tmp_path):
         _, path = self.persisted(tmp_path)
-        sidecar = json.loads((path / "store.json").read_text())["embeddings_file"]
-        with open(path / sidecar, "ab") as fh:
-            fh.write(b"\0")
+        header = json.loads((path / "store.json").read_text().splitlines()[0])
+        with open(path / header["keys_file"], "r+b") as fh:
+            byte = fh.read(1)
+            fh.seek(0)
+            fh.write(bytes([byte[0] ^ 0xFF]))
         code, out, err = run_cli(capsys, "store", "inspect", "--dir", str(path))
         assert code == 2
         assert out == ""
-        assert err == "error: embedding sidecar does not match its manifest checksum\n"
+        assert err == "error: key file does not match its manifest checksum\n"
 
     @pytest.mark.parametrize(
         "edit, cause",
@@ -357,9 +392,10 @@ class TestStoreInspect:
         if edit is None:
             manifest_path.write_text(manifest_path.read_text()[:-3])
         else:
-            manifest = json.loads(manifest_path.read_text())
+            header, users = manifest_path.read_text().split("\n", 1)
+            manifest = json.loads(header)
             edit(manifest)
-            manifest_path.write_text(json.dumps(manifest))
+            manifest_path.write_text(json.dumps(manifest) + "\n" + users)
         code, out, err = run_cli(capsys, "store", "inspect", "--dir", str(path))
         assert code == 2
         assert out == ""

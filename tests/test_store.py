@@ -1,5 +1,6 @@
 """Profile store semantics: versioned updates, the social graph, persistence."""
 
+import base64
 import hashlib
 import json
 import os
@@ -7,7 +8,10 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from duplexmem import store as store_module
 from duplexmem.store import (
     ExtractedMemory,
     MemoryItem,
@@ -24,7 +28,13 @@ from duplexmem.store import (
     UserProfile,
     seed_profile,
 )
-from duplexmem.verification import CohortSet, Embedding, EmbeddingShapeError, speaker_verify
+from duplexmem.verification import (
+    CohortSet,
+    Embedding,
+    EmbeddingShapeError,
+    KeyMatrix,
+    speaker_verify,
+)
 
 
 def face(i):
@@ -37,45 +47,78 @@ def voice(i):
     return Embedding(rng.normal(size=256), "voice")
 
 
-# A store written by memory-store/1: TestPersistence.populated(), persisted
-# to the relative path "store".
+# Stores written by older formats: TestPersistence.populated(), persisted to
+# the relative path "store" by memory-store/1, and with its voice statistics
+# warmed (warm below) by memory-store/2.
 FORMAT_1_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "store-v1")
+FORMAT_2_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "store-v2")
+
+
+def parsed(text):
+    """store.json text as one object: a memory-store/3 header with its user
+    records as "users", by user id, or an older format's manifest."""
+    head, *lines = text.splitlines()
+    try:
+        manifest = json.loads(head)
+    except json.JSONDecodeError:
+        return json.loads(text)  # an older format's manifest, on many lines
+    if "users" not in manifest:
+        manifest["users"] = {record["user_id"]: record for record in map(json.loads, lines)}
+    return manifest
+
+
+def lines_of(manifest):
+    """parsed's inverse, as memory-store/3 lines; "users" may also be a list
+    of records."""
+    header = dict(manifest)
+    users = header.pop("users")
+    records = users.values() if isinstance(users, dict) else users
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in [header, *records])
 
 
 def manifest_of(target):
     with open(os.path.join(target, "store.json")) as fh:
-        return json.load(fh)
+        return parsed(fh.read())
+
+
+def write_manifest(target, manifest):
+    with open(os.path.join(target, "store.json"), "w") as fh:
+        fh.write(lines_of(manifest))
 
 
 def sidecar_of(target):
-    return os.path.join(target, manifest_of(target)["embeddings_file"])
+    """The key file."""
+    return os.path.join(target, manifest_of(target)["keys_file"])
 
 
 def rewrite_sidecar(target, edit):
-    """Replace the sidecar's bytes with edit(bytes), keeping its name, and
-    the manifest's checksum with theirs."""
+    """Replace the key file's bytes with edit(bytes), keeping its name, and
+    the header's checksum and row count with theirs."""
     manifest = manifest_of(target)
-    path = os.path.join(target, manifest["embeddings_file"])
+    path = os.path.join(target, manifest["keys_file"])
     with open(path, "rb") as fh:
         data = edit(fh.read())
     with open(path, "wb") as fh:
         fh.write(data)
-    manifest["embeddings_sha256"] = hashlib.sha256(data).hexdigest()
-    with open(os.path.join(target, "store.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True)
+    manifest["keys_sha256"] = hashlib.sha256(data).hexdigest()
+    write_manifest(target, manifest)
 
 
 def rewrite_stats(target, edit):
-    """rewrite_sidecar, with edit(means, stds) changing copies of the voice
-    statistics at the sidecar's end in place."""
-    m = manifest_of(target)["key_stats"]["voice"]["rows"]
+    """Rewrite the header's voice statistics block with its checksum, after
+    edit(means, stds) changed copies of its values in place."""
+    manifest = manifest_of(target)
+    block = manifest["key_stats"]["voice"]
+    means, stds = (np.frombuffer(base64.b64decode(block[k]), "<f8").copy() for k in ("means", "stds"))
+    edit(means, stds)
+    stats_bytes(block, means.tobytes(), stds.tobytes())
+    write_manifest(target, manifest)
 
-    def rewrite(data):
-        block = np.frombuffer(data[-16 * m:], "<f8").copy()
-        edit(block[:m], block[m:])
-        return data[:-16 * m] + block.tobytes()
 
-    rewrite_sidecar(target, rewrite)
+def stats_bytes(block, means, stds):
+    """Put means and stds bytes into a key_stats block, with their checksum."""
+    block["means"], block["stds"] = (base64.b64encode(b).decode() for b in (means, stds))
+    block["sha256"] = hashlib.sha256(means + stds).hexdigest()
 
 
 KEY_COHORT = CohortSet(tuple(voice(100 + i) for i in range(8)), top_n=4)
@@ -92,6 +135,55 @@ def stats_of(store):
     """The voice matrix's cached statistics as plain values, or None."""
     stats = store.user_keys("voice").matrix.stats()
     return None if stats is None else (stats[0], stats[1].tolist(), stats[2].tolist())
+
+
+ROW_BYTES = 4 * (512 + 256)  # one key file row: a face key, then a voice key
+
+
+class SpyHashlib:
+    """The hashlib module as store uses it, recording the length of every
+    non-empty piece of data a sha256 object takes in."""
+
+    def __init__(self):
+        self.fed = []
+
+    def sha256(self, data=b""):
+        return _SpyHash(self, hashlib.sha256()).update(data)
+
+
+class _SpyHash:
+    def __init__(self, spy, real):
+        self.spy, self.real = spy, real
+
+    def update(self, data):
+        if memoryview(data).nbytes:
+            self.spy.fed.append(memoryview(data).nbytes)
+        self.real.update(data)
+        return self
+
+    def copy(self):
+        return _SpyHash(self.spy, self.real.copy())
+
+    def hexdigest(self):
+        return self.real.hexdigest()
+
+
+def files_of(target):
+    """Every file of a directory, by name, with its bytes."""
+    files = {}
+    for name in os.listdir(target):
+        with open(os.path.join(target, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
+def spy_on_payloads(monkeypatch):
+    """The user id of each profile that to_payload encodes from now on."""
+    encoded, payload = [], UserProfile.to_payload
+    monkeypatch.setattr(
+        UserProfile, "to_payload", lambda self: encoded.append(self.user_id) or payload(self)
+    )
+    return encoded
 
 
 def fresh_store(n_users=0):
@@ -506,6 +598,54 @@ class TestSocialGraph:
         ]
 
 
+    def test_neighbor_counts_match_connected_users(self):
+        store, ids = fresh_store(40)
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            f, t = rng.choice(len(ids), 2, replace=False)
+            relation = str(rng.choice(["friend", "colleague", "mentor"]))
+            store.add_relation_edge(RelationTriplet(ids[f], relation, ids[t]))
+        counts = store.neighbor_counts()
+        assert counts == {uid: len(store.connected_users(uid)) for uid in ids}
+        assert max(counts.values()) > 10
+
+
+class TestKeyEquality:
+    POOL = [voice(i).values for i in range(3)]  # few rows, so equal keys are common
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_same_verdict_as_comparing_pairs(self, data):
+        """Stores compare key views as two arrays in id order; that agrees
+        with comparing list(view), one (user_id, Embedding) pair at a time,
+        with repeated ids (ties in row order) and rows in any order."""
+        pair = st.tuples(st.sampled_from(["user_0001", "user_0002", "user_0003"]),
+                         st.integers(0, len(self.POOL) - 1))
+        first = data.draw(st.lists(pair, max_size=5))
+        if data.draw(st.booleans()):
+            second = data.draw(st.permutations(first))
+        else:
+            second = data.draw(st.lists(pair, max_size=5))
+        views = []
+        for pairs in (first, second):
+            matrix = KeyMatrix("voice")
+            rows = np.array([self.POOL[row] for _, row in pairs]).reshape(len(pairs), 256)
+            matrix.extend([uid for uid, _ in pairs], rows)
+            views.append(matrix.view())
+        assert store_module._same_keys(*views) == (list(views[0]) == list(views[1]))
+
+    def test_stores_holding_the_same_keys_in_other_rows_are_equal(self):
+        a, ids = fresh_store(3)
+        b, _ = fresh_store(3)
+        for kind, key in (("face", face), ("voice", voice)):
+            b._keys[kind] = KeyMatrix(kind)
+            b._keys[kind].extend(ids[::-1], [key(i).values for i in (2, 1, 0)])
+        assert a == b
+        b._keys["voice"] = KeyMatrix("voice")
+        b._keys["voice"].extend(ids[::-1], [voice(i).values for i in (2, 0, 1)])
+        assert a != b
+
+
 class TestNameDirectory:
     def test_skips_unknown_and_ambiguous(self):
         store = MemoryStore()
@@ -598,29 +738,31 @@ class TestPersistence:
         store = self.populated()
         target = str(tmp_path / "store")
         store.persist(target)
-        manifest_path = os.path.join(target, "store.json")
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = manifest_of(target)
         manifest["aux"] = aux
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
+        write_manifest(target, manifest)
         return store, target
 
     def test_manifest_with_empty_aux_list_loads(self, tmp_path):
         store, target = self.persisted_with_aux(tmp_path, [])
         assert MemoryStore.load(target) == store
 
-    def test_user_records_with_relation_edges_load(self, tmp_path):
-        """Older memory-store/2 user records carry "relation_edges": []."""
+    def test_user_records_with_relation_edges_load(self, tmp_path, monkeypatch):
+        """Older memory-store/2 user records carry "relation_edges": []. A
+        line whose record has keys that to_payload does not write is not
+        kept: the next persist encodes that profile again."""
         store = self.populated()
         target = str(tmp_path / "store")
         store.persist(target)
         manifest = manifest_of(target)
-        for record in manifest["users"].values():
-            record["relation_edges"] = []
-        with open(os.path.join(target, "store.json"), "w") as fh:
-            json.dump(manifest, fh, sort_keys=True)
-        assert MemoryStore.load(target) == store
+        manifest["users"]["user_0002"]["relation_edges"] = []
+        write_manifest(target, manifest)
+        loaded = MemoryStore.load(target)
+        assert loaded == store
+        encoded = spy_on_payloads(monkeypatch)
+        loaded.persist(target)
+        assert encoded == ["user_0002"]
+        assert "relation_edges" not in manifest_of(target)["users"]["user_0002"]
 
     def test_manifest_with_aux_documents_rejected(self, tmp_path):
         _, target = self.persisted_with_aux(tmp_path, ["x"])
@@ -644,20 +786,8 @@ class TestPersistence:
         store = self.populated()
         target = str(tmp_path / "store")
         store.persist(target)
-        sidecar_path = sidecar_of(target)
-        with open(sidecar_path, "rb") as fh:
-            data = fh.read()[:100]
-        manifest_path = os.path.join(target, "store.json")
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        import hashlib
-
-        manifest["embeddings_sha256"] = hashlib.sha256(data).hexdigest()
-        with open(sidecar_path, "wb") as fh:
-            fh.write(data)
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh)
-        with pytest.raises(StoreChecksumError):
+        rewrite_sidecar(target, lambda data: data[:100])
+        with pytest.raises(StoreChecksumError, match="shorter than its committed rows"):
             MemoryStore.load(target)
 
     def persisted_with_manifest(self, tmp_path, edit):
@@ -673,9 +803,9 @@ class TestPersistence:
 
     def test_wrong_key_dim_in_manifest_rejected(self, tmp_path):
         def edit(text):
-            manifest = json.loads(text)
+            manifest = parsed(text)
             manifest["key_dims"]["voice"] = 255
-            return json.dumps(manifest)
+            return lines_of(manifest)
 
         target = self.persisted_with_manifest(tmp_path, edit)
         with pytest.raises(StoreError, match="EmbeddingShapeError") as info:
@@ -684,9 +814,9 @@ class TestPersistence:
 
     def test_missing_manifest_key_rejected(self, tmp_path):
         def edit(text):
-            manifest = json.loads(text)
+            manifest = parsed(text)
             del manifest["next_user"]
-            return json.dumps(manifest)
+            return lines_of(manifest)
 
         target = self.persisted_with_manifest(tmp_path, edit)
         with pytest.raises(StoreError, match="KeyError: 'next_user'") as info:
@@ -710,13 +840,10 @@ class TestPersistence:
         store = self.populated()
         target = str(tmp_path / "store")
         store.persist(target)
-        manifest_path = os.path.join(target, "store.json")
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = manifest_of(target)
         manifest["format"] = "memory-store/99"
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh)
-        with pytest.raises(StoreError):
+        write_manifest(target, manifest)
+        with pytest.raises(StoreError, match="unsupported store format 'memory-store/99'"):
             MemoryStore.load(target)
 
     def test_missing_audit_file_tolerated(self, tmp_path):
@@ -750,11 +877,125 @@ class TestPersistence:
         store.create_user(face(2), voice(2), ExtractedMemory(user_name="Ann"))
         store.persist(target)
         manifest = manifest_of(target)
-        assert manifest["format"] == "memory-store/2"
-        assert sorted(os.listdir(target)) == sorted(
-            ["store.json", manifest["embeddings_file"], manifest["audit_file"]]
-        )
+        assert manifest["format"] == "memory-store/3"
+        assert sorted(os.listdir(target)) == ["audit-1.log", "keys.bin", "store.json"]
+        assert (manifest["keys_file"], manifest["audit_file"]) == ("keys.bin", "audit-1.log")
         assert MemoryStore.load(target) == store
+
+    def test_format_2_fixture_loads_equal(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = self.populated()
+        store.persist("store")  # the fixture's last audit entry
+        assert manifest_of(FORMAT_2_FIXTURE)["format"] == "memory-store/2"
+        assert "key_stats" in manifest_of(FORMAT_2_FIXTURE)
+        loaded = MemoryStore.load(FORMAT_2_FIXTURE)
+        assert loaded == store
+        assert stats_of(loaded) is None  # derived: scored again on first use
+        assert stats_of(warm(loaded)) == stats_of(warm(store))
+
+    def test_format_2_store_is_rewritten_in_place(self, tmp_path):
+        target = str(tmp_path / "store")
+        shutil.copytree(FORMAT_2_FIXTURE, target)
+        with open(os.path.join(target, "audit.log"), "rb") as fh:
+            log = fh.read()
+        store = MemoryStore.load(target)
+        store.create_user(face(2), voice(2), ExtractedMemory(user_name="Ann"))
+        store.persist(target)
+        manifest = manifest_of(target)
+        assert manifest["format"] == "memory-store/3"
+        assert sorted(os.listdir(target)) == ["audit.log", "keys.bin", "store.json"]
+        with open(os.path.join(target, "audit.log"), "rb") as fh:
+            assert fh.read().startswith(log)  # the committed log is appended to
+        assert MemoryStore.load(target) == store
+
+    @pytest.mark.parametrize("fixture", [FORMAT_1_FIXTURE, FORMAT_2_FIXTURE], ids=["v1", "v2"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["users"]["user_0001"]["persona"].update(favorite_sport=5),
+             "persona values are strings"),
+            (lambda m: m["users"]["user_0001"]["persona"].update(favorite_sport=None),
+             "persona values are strings"),
+            (lambda m: m.update(persona_slots=list(range(4))), "persona slots are strings"),
+        ],
+        ids=["int_persona_value", "null_persona_value", "int_persona_slots"],
+    )
+    def test_older_format_with_non_string_persona_rejected(self, tmp_path, fixture, edit,
+                                                           message):
+        target = str(tmp_path / "store")
+        shutil.copytree(fixture, target)
+        manifest = manifest_of(target)
+        edit(manifest)
+        with open(os.path.join(target, "store.json"), "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(StoreError, match=message):
+            MemoryStore.load(target)
+
+    def test_lines_that_do_not_hold_one_record_each_are_encoded_again(self, tmp_path,
+                                                                      monkeypatch):
+        """Two user records on one line load; since the lines no longer pair
+        with the records, the next persist encodes every profile."""
+        store = self.populated()
+        target = str(tmp_path / "store")
+        store.persist(target)
+        with open(os.path.join(target, "store.json"), "rb") as fh:
+            head, first, second = fh.read().splitlines()
+        with open(os.path.join(target, "store.json"), "wb") as fh:
+            fh.write(head + b"\n" + first + b", " + second + b"\n")
+        loaded = MemoryStore.load(target)
+        assert loaded == store
+        encoded = spy_on_payloads(monkeypatch)
+        loaded.persist(target)
+        assert encoded == ["user_0001", "user_0002"]
+        assert MemoryStore.load(target) == loaded
+
+    def test_warm_persist_encodes_and_hashes_only_what_changed(self, tmp_path, monkeypatch):
+        target = str(tmp_path / "store")
+        self.populated().persist(target)
+        spy = SpyHashlib()
+        monkeypatch.setattr(store_module, "hashlib", spy)
+        store = MemoryStore.load(target)
+        assert spy.fed == [2 * ROW_BYTES]  # load hashes every committed key byte once
+        uid = store.create_user(face(2), voice(2), ExtractedMemory(user_name="Ann"))
+        store.apply_profile_update(
+            "user_0001", UpdateResolution("user_0001", 1, (MemoryItem("new fact", "t"),))
+        )
+        keys = sidecar_of(target)
+        with open(keys, "rb") as fh:
+            committed = fh.read()
+        spy.fed.clear()
+        encoded = spy_on_payloads(monkeypatch)
+        store.persist(target)
+        assert encoded == ["user_0001", uid]
+        assert spy.fed == [ROW_BYTES]  # the appended row only
+        with open(keys, "rb") as fh:
+            data = fh.read()
+        assert data.startswith(committed) and len(data) == 3 * ROW_BYTES
+        assert manifest_of(target)["keys_sha256"] == hashlib.sha256(data).hexdigest()
+        monkeypatch.undo()
+        assert MemoryStore.load(target) == store
+
+    def test_persist_elsewhere_rewrites_rows_without_hashing_them(self, tmp_path, monkeypatch):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        self.populated().persist(a)
+        before = files_of(a)
+        spy = SpyHashlib()
+        monkeypatch.setattr(store_module, "hashlib", spy)
+        store = MemoryStore.load(a)
+        spy.fed.clear()
+        encoded = spy_on_payloads(monkeypatch)
+        store.persist(b)
+        assert (encoded, spy.fed) == ([], [])
+        with open(sidecar_of(a), "rb") as fa, open(sidecar_of(b), "rb") as fb:
+            assert fa.read() == fb.read()
+        with open(os.path.join(a, "store.json")) as fa, open(os.path.join(b, "store.json")) as fb:
+            assert fa.read().splitlines()[1:] == fb.read().splitlines()[1:]
+        store.create_user(face(2), voice(2), ExtractedMemory(user_name="Ann"))
+        store.persist(b)
+        assert spy.fed == [ROW_BYTES]
+        monkeypatch.undo()
+        assert MemoryStore.load(b) == store
+        assert files_of(a) == before
 
     def test_manifest_is_compact_and_names_its_files(self, tmp_path):
         target = str(tmp_path / "store")
@@ -762,22 +1003,25 @@ class TestPersistence:
         store.persist(target)
         with open(os.path.join(target, "store.json")) as fh:
             text = fh.read()
-        manifest = json.loads(text)
-        assert text == json.dumps(manifest, sort_keys=True)
-        assert manifest["key_rows"] == ["user_0001", "user_0002"]
-        assert manifest["key_dims"] == {"face": 512, "voice": 256}
-        assert "keys" not in manifest["users"]["user_0001"]
-        assert manifest["embeddings_file"] == f"embeddings-{manifest['embeddings_sha256']}.bin"
+        head, *lines = text.splitlines()
+        header = json.loads(head)
+        records = [store.lookup_user(uid).to_payload() for uid in store.user_ids]
+        assert lines == [json.dumps(record, sort_keys=True) for record in records]
+        assert text == "\n".join([json.dumps(header, sort_keys=True), *lines, ""])
+        assert header["format"] == "memory-store/3"
+        assert not {"users", "embeddings_file", "embeddings_sha256"} & set(header)
+        assert header["key_rows"] == ["user_0001", "user_0002"]
+        assert header["key_dims"] == {"face": 512, "voice": 256}
+        assert header["keys_file"] == "keys.bin"
         with open(sidecar_of(target), "rb") as fh:
-            rows = np.frombuffer(fh.read(), "<f4")
-        faces, voices = rows[:2 * 512].reshape(2, 512), rows[2 * 512:].reshape(2, 256)
-        assert np.array_equal(faces[1], np.float32(face(1).values))
-        assert np.array_equal(voices[0], np.float32(voice(0).values))
-        assert manifest["audit_file"] == "audit.log"
-        assert manifest["audit_bytes"] == os.path.getsize(os.path.join(target, "audit.log"))
-        assert sorted(os.listdir(target)) == sorted(
-            ["store.json", manifest["embeddings_file"], "audit.log"]
-        )
+            data = fh.read()
+        assert header["keys_sha256"] == hashlib.sha256(data).hexdigest()
+        rows = np.frombuffer(data, "<f4").reshape(2, 512 + 256)  # row i: face i, then voice i
+        assert np.array_equal(rows[1, :512], np.float32(face(1).values))
+        assert np.array_equal(rows[0, 512:], np.float32(voice(0).values))
+        assert header["audit_file"] == "audit.log"
+        assert header["audit_bytes"] == os.path.getsize(os.path.join(target, "audit.log"))
+        assert sorted(os.listdir(target)) == ["audit.log", "keys.bin", "store.json"]
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -815,7 +1059,17 @@ class TestPersistence:
             (lambda m: m["users"]["user_0001"].update(persona=[["name", "x"]]),
              "a persona must be a JSON object, not list"),
             (lambda m: m.update(edges={}), "edges must be a JSON array, not dict"),
-            (lambda m: m.update(users=[]), "users must be a JSON object, not list"),
+            (lambda m: m.update(users=[["user_0001"], ["user_0002"]]),
+             "user records are JSON objects"),
+            (lambda m: m["users"]["user_0001"]["persona"].update(preferred_name=5),
+             "persona values are strings"),
+            (lambda m: m["users"]["user_0001"]["persona"].update(preferred_name=None),
+             "persona values are strings"),
+            (lambda m: m.update(persona_slots=list(range(4))), "persona slots are strings"),
+            (lambda m: m["users"]["user_0001"].update(user_id="user_0002"),
+             "user ids are strings, one line each"),
+            (lambda m: m["users"]["user_0001"].update(user_id=1),
+             "user ids are strings, one line each"),
         ],
         ids=[
             "edge_endpoint", "persona_slot", "version", "next_user", "key_rows", "audit_length",
@@ -823,14 +1077,15 @@ class TestPersistence:
             "null_persona", "bare_fact", "float_next_user", "bool_next_user", "zero_next_user",
             "str_store_version", "float_store_version", "bool_store_version",
             "negative_store_version", "int_fact_text", "int_summary_timestamp", "list_persona",
-            "object_edges", "list_users",
+            "object_edges", "list_users", "int_persona_value", "null_persona_value",
+            "int_persona_slots", "repeated_user_id", "int_user_id",
         ],
     )
     def test_broken_invariant_rejected(self, tmp_path, edit, message):
         def rewrite(text):
-            manifest = json.loads(text)
+            manifest = parsed(text)
             edit(manifest)
-            return json.dumps(manifest)
+            return lines_of(manifest)
 
         target = self.persisted_with_manifest(tmp_path, rewrite)
         with pytest.raises(StoreError, match=message):
@@ -844,14 +1099,12 @@ class TestPersistence:
         store = warm(self.populated())
         assert store == self.populated()  # statistics are derived: equality ignores them
         store.persist(hot)
-        manifest = manifest_of(hot)
-        assert manifest["key_stats"] == {"voice": {"cohort": KEY_COHORT.fingerprint, "rows": 2}}
-        with open(sidecar_of(hot), "rb") as fh:
-            data = fh.read()
-        with open(sidecar_of(cold), "rb") as fh:
-            assert data[:-32] == fh.read()  # the key rows, then the statistics
         _, means, stds = store.user_keys("voice").matrix.stats()
-        assert data[-32:] == means.astype("<f8").tobytes() + stds.astype("<f8").tobytes()
+        expected = {"cohort": KEY_COHORT.fingerprint, "rows": 2}
+        stats_bytes(expected, means.astype("<f8").tobytes(), stds.astype("<f8").tobytes())
+        assert manifest_of(hot)["key_stats"] == {"voice": expected}
+        with open(sidecar_of(hot), "rb") as fh, open(sidecar_of(cold), "rb") as cold_fh:
+            assert fh.read() == cold_fh.read()  # the key file holds the key rows only
         loaded = MemoryStore.load(hot)
         assert loaded == store
         assert stats_of(loaded) == stats_of(store)
@@ -870,21 +1123,25 @@ class TestPersistence:
             (lambda b: b.update(rows=True), "not True"),
             (lambda b: b.update(rows=0), "in 1..2, not 0"),
             (lambda b: b.update(rows=3), "in 1..2, not 3"),
-            (lambda b: b.update(rows=1), "does not hold the manifest's keys and stats"),
+            (lambda b: b.update(rows=1), "voice key_stats do not hold 1 means and stds"),
             (lambda b: b.update(cohort=b["cohort"].upper()), "no sha256 hex digest"),
             (lambda b: b.update(cohort=b["cohort"][1:]), "no sha256 hex digest"),
             (lambda b: b.update(cohort=None), "no sha256 hex digest: None"),
             (lambda b: b.pop("rows"), "KeyError: 'rows'"),
+            (lambda b: b.update(sha256="0" * 64), "voice key_stats do not match their checksum"),
+            (lambda b: b.update(stds=b["means"]), "voice key_stats do not match their checksum"),
+            (lambda b: b.update(means=5), "TypeError"),
+            (lambda b: b.pop("sha256"), "KeyError: 'sha256'"),
         ],
         ids=["float_rows", "bool_rows", "zero_rows", "rows_past_keys", "rows_short_of_sidecar",
-             "upper_hex", "short_hex", "null_cohort", "no_rows"],
+             "upper_hex", "short_hex", "null_cohort", "no_rows", "zero_checksum",
+             "tampered_stds", "int_means", "no_checksum"],
     )
     def test_bad_key_stats_block_rejected(self, tmp_path, edit, message):
         target = self.persisted_warm(tmp_path)
         manifest = manifest_of(target)
         edit(manifest["key_stats"]["voice"])
-        with open(os.path.join(target, "store.json"), "w") as fh:
-            json.dump(manifest, fh)
+        write_manifest(target, manifest)
         with pytest.raises(StoreError, match=message):
             MemoryStore.load(target)
 
@@ -894,7 +1151,8 @@ class TestPersistence:
             ([], StoreError),
             ({"face": {"cohort": "0" * 64, "rows": 1}, "voice": None}, StoreError),
             ({"text": {"cohort": "0" * 64, "rows": 1}}, StoreError),
-            ({"voice": {"cohort": "0" * 64, "rows": 1}}, StoreChecksumError),  # no block stored
+            ({"voice": {"cohort": "0" * 64, "rows": 1, "means": "AAAAAAAAAAA=",
+                        "stds": "AAAAAAAAAAA=", "sha256": "0" * 64}}, StoreChecksumError),
         ],
         ids=["not_an_object", "null_block", "no_such_keys", "block_not_in_sidecar"],
     )
@@ -903,8 +1161,7 @@ class TestPersistence:
         self.populated().persist(target)
         manifest = manifest_of(target)
         manifest["key_stats"] = key_stats
-        with open(os.path.join(target, "store.json"), "w") as fh:
-            json.dump(manifest, fh)
+        write_manifest(target, manifest)
         with pytest.raises(error):
             MemoryStore.load(target)
 
@@ -924,9 +1181,14 @@ class TestPersistence:
             MemoryStore.load(target)
 
     def test_sidecar_longer_than_its_statistics_rejected(self, tmp_path):
+        """Statistics that hold more values than their rows, checksummed."""
         target = self.persisted_warm(tmp_path)
-        rewrite_sidecar(target, lambda data: data + bytes(8))
-        with pytest.raises(StoreChecksumError, match="keys and stats"):
+        manifest = manifest_of(target)
+        block = manifest["key_stats"]["voice"]
+        means, stds = (base64.b64decode(block[k]) for k in ("means", "stds"))
+        stats_bytes(block, means + bytes(8), stds)
+        write_manifest(target, manifest)
+        with pytest.raises(StoreChecksumError, match="do not hold 2 means and stds"):
             MemoryStore.load(target)
 
     def test_persist_is_audited(self, tmp_path):

@@ -1,7 +1,7 @@
 """Persist under faults: every write, fsync, rename, truncate and unlink that
 persist makes fails in turn, and load then returns the old store or the new
-one. Also the audit log's append-or-rewrite choice across stores that share
-a directory."""
+one. Also the append-or-rewrite choice of the key file and the audit log
+across stores that share a directory."""
 
 import errno
 import os
@@ -16,7 +16,18 @@ from duplexmem.store import (
     MemoryStore,
     UpdateResolution,
 )
-from test_store import FORMAT_1_FIXTURE, face, manifest_of, stats_of, voice, warm
+from test_store import (
+    FORMAT_1_FIXTURE,
+    FORMAT_2_FIXTURE,
+    ROW_BYTES,
+    face,
+    files_of,
+    manifest_of,
+    sidecar_of,
+    stats_of,
+    voice,
+    warm,
+)
 from test_store import TestPersistence as _Persistence  # not collected twice
 
 FAULTED = ("pwrite", "ftruncate", "fsync", "replace", "unlink")
@@ -84,6 +95,37 @@ def scenario_format_1(target):
     return store
 
 
+def scenario_format_2(target):
+    """A memory-store/2 directory, loaded, grown and persisted in place: the
+    log is appended to, the key rows written afresh."""
+    shutil.copytree(FORMAT_2_FIXTURE, target)
+    store = MemoryStore.load(target)
+    grow(store, 4)
+    return store
+
+
+def scenario_moved(target):
+    """The store loaded from another directory and grown, over an older copy
+    of it: every key row is written afresh, only the new one hashed."""
+    _Persistence().populated().persist(target + "-source")
+    _Persistence().populated().persist(target)
+    store = MemoryStore.load(target + "-source")
+    grow(store, 5)
+    return store
+
+
+def scenario_crashed_tail(target):
+    """The store loaded from the directory, after which a persist appended
+    to the key file and the log and then crashed; grown."""
+    _Persistence().populated().persist(target)
+    store = MemoryStore.load(target)
+    for name in (manifest_of(target)["keys_file"], "audit.log"):
+        with open(os.path.join(target, name), "ab") as fh:
+            fh.write(b"\1" * 100)
+    grow(store, 6)
+    return store
+
+
 def scenario_warm_stats(target):
     """A store with key statistics, persisted, loaded, grown and queried
     again: the directory's statistics cover 2 rows, the store's 3."""
@@ -98,6 +140,9 @@ SCENARIOS = {
     "append": scenario_append,
     "rewrite": scenario_rewrite,
     "format_1": scenario_format_1,
+    "format_2": scenario_format_2,
+    "moved": scenario_moved,
+    "crashed_tail": scenario_crashed_tail,
     "warm_stats": scenario_warm_stats,
 }
 
@@ -157,10 +202,12 @@ def test_a_fault_anywhere_leaves_the_old_store_or_the_new_one(monkeypatch, tmp_p
         assert persists(reloaded) == persisted + committed, f"fault at call {k} ({name})"
         manifest = manifest_of(target)
         assert sorted(os.listdir(target)) == sorted(
-            ["store.json", manifest["embeddings_file"], manifest["audit_file"]]
+            ["store.json", manifest["keys_file"], manifest["audit_file"]]
         )
         log = os.path.join(target, manifest["audit_file"])
         assert os.path.getsize(log) == manifest["audit_bytes"]
+        keys = os.path.join(target, manifest["keys_file"])
+        assert os.path.getsize(keys) == len(manifest["key_rows"]) * 4 * (512 + 256)
     assert outcomes == ({"none", "new"} if scenario == "fresh" else {"old", "new"})
 
 
@@ -193,6 +240,30 @@ def test_tail_past_committed_length_is_ignored_then_truncated(tmp_path):
     assert MemoryStore.load(target) == store
 
 
+def test_persist_that_crashed_after_appending_rows_leaves_the_old_store(tmp_path, monkeypatch):
+    target = str(tmp_path / "store")
+    _Persistence().populated().persist(target)
+    store, old = MemoryStore.load(target), MemoryStore.load(target)
+    before = files_of(target)
+    grow(store, 0)
+
+    def crash(path, data):
+        raise OSError(errno.EIO, "crashed before the commit")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "_atomic_write", crash)
+        with pytest.raises(OSError, match="crashed before the commit"):
+            store.persist(target)
+    after = files_of(target)
+    keys = manifest_of(target)["keys_file"]
+    assert after["store.json"] == before["store.json"]
+    assert after[keys].startswith(before[keys]) and len(after[keys]) == 3 * ROW_BYTES
+    assert MemoryStore.load(target) == old
+    store.persist(target)
+    assert os.path.getsize(sidecar_of(target)) == 3 * ROW_BYTES
+    assert MemoryStore.load(target) == store
+
+
 def test_changed_manifest_means_a_fresh_log(tmp_path):
     target = str(tmp_path / "store")
     _Persistence().populated().persist(target)
@@ -200,7 +271,8 @@ def test_changed_manifest_means_a_fresh_log(tmp_path):
     MemoryStore.load(target).persist(target)  # another writer moves the manifest on
     grow(store, 0)
     store.persist(target)
-    assert manifest_of(target)["audit_file"] == "audit-1.log"
+    manifest = manifest_of(target)
+    assert (manifest["audit_file"], manifest["keys_file"]) == ("audit-1.log", "keys-1.bin")
     assert MemoryStore.load(target) == store
 
 

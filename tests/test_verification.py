@@ -447,9 +447,13 @@ class TestKeyMatrixEquivalence:
         part_filled = KeyMatrix(modality)
         part_filled.append(ids[0], values[0])
         part_filled.extend(ids[1:], np.array(values[1:]))  # grows past the first 65 rows
+        table = np.zeros((150, 3 + dim), np.float32)
+        table[:, 3:] = values
+        strided = KeyMatrix(modality)
+        strided.extend(ids, table[:, 3:])  # columns of a wider table, as load passes them
         for row, value in enumerate(values):
             expected = Embedding(value, modality)
-            for matrix in (from_empty, part_filled):
+            for matrix in (from_empty, part_filled, strided):
                 got = matrix.key(row)
                 assert got == expected and got.norm == expected.norm
                 assert not got.values.flags.writeable
