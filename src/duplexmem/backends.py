@@ -128,21 +128,6 @@ class IdentitySeed:
     def key_embedding(self, modality: str) -> Embedding:
         return Embedding(self.base_vector(modality), modality)  # type: ignore[arg-type]
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "identity_id": self.identity_id,
-            "vector_seed": self.vector_seed,
-            "noise_scale": self.noise_scale,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "IdentitySeed":
-        return cls(
-            identity_id=payload["identity_id"],
-            vector_seed=int(payload["vector_seed"]),
-            noise_scale=float(payload.get("noise_scale", DEFAULT_NOISE_SCALE)),
-        )
-
 
 # --------------------------------------------------------------------------
 # schema validation

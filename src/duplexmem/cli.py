@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Any, Callable, Mapping, Sequence
 
 from .backends import BACKEND_KINDS, http_suite
@@ -37,8 +38,10 @@ from .harness import (
     simulate_lifelong_run,
     synth_scenario,
 )
+from .retrieval import RetrievalError
 from .runtime import AgentConfig, config_from_mapping
 from .store import MemoryStore, StoreError
+from .stream import StreamError
 
 EVAL_SUITES: Mapping[str, Callable[[int], MetricsTable]] = {
     "verification": lambda seed: eval_verification(seed=seed),
@@ -130,7 +133,8 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             try:
                 return scenario_from_json(fh.read())
-            except (KeyError, TypeError, ValueError, HarnessError) as exc:
+            except (KeyError, TypeError, ValueError, HarnessError, RetrievalError,
+                    StreamError) as exc:
                 raise CliError(f"bad scenario file: {type(exc).__name__}: {exc}") from exc
     return synth_scenario(ScenarioSpec(seed=args.seed))
 
@@ -142,7 +146,7 @@ def _simulation_payload(sim: SimulationResult) -> dict[str, Any]:
             {
                 "timestamp": day.timestamp,
                 "events": len(day.run.events),
-                "counters": day.run.counters.to_payload(),
+                "counters": asdict(day.run.counters),
                 "tracked_user": day.run.tracked_user,
             }
             for day in sim.days

@@ -2,9 +2,9 @@
 
 A Scenario is everything one reproducible multi-day run needs: identities
 with derivable face/voice vectors, a social graph, pre-seeded profiles, and
-per-day dialog scripts with extraction ground truth. Scenarios are plain data
-and round-trip through JSON, so a synthesized scenario can be saved, shipped,
-and replayed bit-identically.
+per-day dialog scripts with extraction ground truth. Scenarios are plain data:
+their JSON is dataclasses.asdict, one key per field, read back by from_payload,
+so a synthesized scenario can be saved, shipped, and replayed bit-identically.
 
 The evaluations return MetricsTables: named checks with values and pass
 flags. They never report wall-clock readings, so their rendered output is
@@ -13,10 +13,12 @@ byte-stable for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -54,8 +56,6 @@ from .stream import (
     TurnScript,
     _draw,
     build_stream,
-    dialog_from_record,
-    dialog_to_record,
     make_supervision_masks,
 )
 from .verification import (
@@ -228,20 +228,12 @@ class PreseedProfile:
     summaries: tuple[tuple[str, str], ...] = ()
     persona: Mapping[str, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "facts", tuple(map(tuple, self.facts)))
-        object.__setattr__(self, "summaries", tuple(map(tuple, self.summaries)))
-        object.__setattr__(self, "persona", dict(self.persona))
-
 
 @dataclass(frozen=True)
 class ScenarioDay:
     timestamp: str
     scripts: tuple[DialogScript, ...]
     build_seed: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scripts", tuple(self.scripts))
 
 
 @dataclass(frozen=True)
@@ -255,14 +247,14 @@ class Scenario:
     cohort_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "identities", tuple(self.identities))
-        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
-        object.__setattr__(self, "preseed", tuple(self.preseed))
-        object.__setattr__(self, "days", tuple(self.days))
         ids = [i.identity_id for i in self.identities]
         markers = [i.marker for i in self.identities]
         if len(set(ids)) != len(ids) or len(set(markers)) != len(markers):
             raise HarnessError("identity ids and markers must be unique")
+        named = {s.speaker_user for d in self.days for s in d.scripts}
+        named.update(*((f, t) for f, _, t in self.edges), (p.identity_id for p in self.preseed))
+        if named - set(ids):
+            raise HarnessError(f"no identity is named {min(named - set(ids))!r}")
 
     def identity(self, identity_id: str) -> ScenarioIdentity:
         for ident in self.identities:
@@ -273,82 +265,68 @@ class Scenario:
     def markers(self) -> dict[str, int]:
         return {ident.identity_id: ident.marker for ident in self.identities}
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "identities": [
-                {
-                    "identity_id": i.identity_id,
-                    "name": i.name,
-                    "marker": i.marker,
-                    "seed": i.seed.to_payload(),
-                }
-                for i in self.identities
-            ],
-            "edges": [list(edge) for edge in self.edges],
-            "preseed": [
-                {
-                    "identity_id": p.identity_id,
-                    "facts": [list(f) for f in p.facts],
-                    "summaries": [list(s) for s in p.summaries],
-                    "persona": dict(p.persona),
-                }
-                for p in self.preseed
-            ],
-            "days": [
-                {
-                    "timestamp": d.timestamp,
-                    "build_seed": d.build_seed,
-                    "scripts": [dialog_to_record(s) for s in d.scripts],
-                }
-                for d in self.days
-            ],
-            "cohort_size": self.cohort_size,
-            "cohort_seed": self.cohort_seed,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "Scenario":
-        return cls(
-            name=payload["name"],
-            identities=tuple(
-                ScenarioIdentity(
-                    identity_id=i["identity_id"],
-                    name=i["name"],
-                    marker=i["marker"],
-                    seed=IdentitySeed.from_payload(i["seed"]),
-                )
-                for i in payload["identities"]
-            ),
-            edges=tuple(tuple(edge) for edge in payload["edges"]),
-            preseed=tuple(
-                PreseedProfile(
-                    identity_id=p["identity_id"],
-                    facts=tuple(tuple(f) for f in p["facts"]),
-                    summaries=tuple(tuple(s) for s in p["summaries"]),
-                    persona=dict(p["persona"]),
-                )
-                for p in payload["preseed"]
-            ),
-            days=tuple(
-                ScenarioDay(
-                    timestamp=d["timestamp"],
-                    scripts=tuple(dialog_from_record(s) for s in d["scripts"]),
-                    build_seed=d["build_seed"],
-                )
-                for d in payload["days"]
-            ),
-            cohort_size=payload.get("cohort_size", 250),
-            cohort_seed=payload.get("cohort_seed", 0),
-        )
-
 
 def scenario_to_json(scenario: Scenario) -> str:
-    return json.dumps(scenario.to_payload(), sort_keys=True, indent=1) + "\n"
+    return json.dumps(asdict(scenario), sort_keys=True, indent=1) + "\n"
 
 
 def scenario_from_json(text: str) -> Scenario:
-    return Scenario.from_payload(json.loads(text))
+    return from_payload(Scenario, json.loads(text))
+
+
+def from_payload(cls: type, payload: Any) -> Any:
+    """Rebuild a record dataclass from its asdict, or from that dict's JSON.
+
+    A field reads the key of its name, or takes its default when the key is
+    missing (KeyError(name) if it has none); other keys are ignored. Records
+    and tuples are rebuilt from the field types, a float field takes a number,
+    an int field an int (no bool), and only an `X | None` field takes null.
+    A value that breaks these rules raises TypeError naming its field path.
+    """
+    return _decoder(cls)(payload)
+
+
+@functools.cache
+def _decoder(tp: Any) -> Callable[[Any], Any]:
+    args = typing.get_args(tp)
+    if is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        plan = [(f.name, f.default is f.default_factory is MISSING, _decoder(hints[f.name]))
+                for f in fields(tp) if f.init]
+
+        def record(payload: Any) -> Any:
+            _check(payload, type(payload) is dict, "an object")
+            kwargs = {}
+            for name, required, decode in plan:
+                if name in payload:
+                    try:
+                        kwargs[name] = decode(payload[name])
+                    except TypeError as exc:
+                        raise TypeError(f"{name}: {exc}") from None
+                elif required:
+                    raise KeyError(name)
+            return tp(**kwargs)
+        return record
+    if type(None) in args:
+        arm = _decoder(next(a for a in args if a is not type(None)))
+        return lambda v: None if v is None else arm(v)
+    if typing.get_origin(tp) is tuple:
+        items, size = [_decoder(a) for a in args], f"an array of {len(args)}"
+        if args[1:] == (...,):
+            return lambda v: tuple(map(items[0], _check(v, type(v) in (list, tuple), "an array")))
+        return lambda v: tuple(f(x) for f, x in zip(items, _check(
+            v, type(v) in (list, tuple) and len(v) == len(items), size)))
+    if tp is float:
+        return lambda v: float(_check(v, type(v) in (int, float), "a number"))
+    if tp is int:
+        return lambda v: _check(v, type(v) is int, "an int")
+    return lambda v: _check(v, v is not None, "a value")
+
+
+def _check(value: Any, ok: bool, expected: str) -> Any:
+    if not ok:
+        raise TypeError(f"expected {expected}, got {value!r:.40}")
+    return value
 
 
 # --------------------------------------------------------------------------

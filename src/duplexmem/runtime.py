@@ -306,9 +306,6 @@ class AgentCounters:
     retrieval_refreshes: int = 0
     management_cycles: int = 0
 
-    def to_payload(self) -> dict[str, int]:
-        return dict(vars(self))
-
 
 @dataclass
 class AgentRunResult:

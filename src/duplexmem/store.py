@@ -623,12 +623,10 @@ class MemoryStore:
                 header["key_stats"] = key_stats
             if self._unsplit is not None:  # the lines load read, split only now
                 text, kept = self._unsplit
-                lines = text.split(b"\n")[1:]
-                if len(lines) == len(kept):  # else a line held no one whole record
-                    for profile, line in zip(kept, lines):
-                        if profile is not None:
-                            self._line_of[profile.user_id] = profile
-                            self._lines[profile.user_id] = line
+                for profile, line in zip(kept, text.split(b"\n")[1:]):
+                    if profile is not None:
+                        self._line_of[profile.user_id] = profile
+                        self._lines[profile.user_id] = line
                 self._unsplit = None
             lines = [json.dumps(header, sort_keys=True).encode("utf-8")]
             for uid in sorted(self._users):
@@ -671,26 +669,27 @@ class MemoryStore:
         do not match their sha256 raise StoreChecksumError.
 
         Load reads only the committed length of each appended file: a tail
-        past it is what a crashed persist left. It decodes store.json in one
-        json.loads, builds each profile straight from its record, and keeps
-        a user line for the next persist when its record has exactly the
-        keys UserProfile.to_payload writes (and no line at all when the
-        lines do not hold one record each). Each key modality goes into its
-        KeyMatrix as one (n, dim) view of the key file's bytes, with its
-        statistics restored (key_stats checks them on first use). The key
-        rows' sha256 state is kept, so the next persist hashes only the rows
-        appended after them. A memory-store/2 sidecar's statistics are not
-        read: they are derived, and scored again on first use.
+        past it is what a crashed persist left. It decodes store.json a line
+        at a time, builds each profile straight from its record, and keeps a
+        user line for the next persist when its record has exactly the keys
+        UserProfile.to_payload writes; if a line holds no one whole record, it
+        reads the lines as one JSON array and keeps none. Each key modality
+        goes into its KeyMatrix as one (n, dim) view of the key file's bytes,
+        with its statistics restored (key_stats checks them on first use). The
+        key rows' sha256 state is kept, so the next persist hashes only the
+        rows appended after them. A memory-store/2 sidecar's statistics are
+        not read: they are derived, and scored again on first use.
         """
         try:
             with open(os.path.join(path, _MANIFEST_FILE), "rb") as fh:
                 manifest_key = _file_key(fh.fileno())
                 data = fh.read()
             text = data.removesuffix(b"\n")
-            try:  # the header and the user records, in one decode
-                manifest, *records = _json_lines(text)
+            try:  # the header and the user records, a line each or as JSON lines
+                whole = _line_values(text.decode("utf-8"))
+                manifest, *records = _json_lines(text) if whole is None else whole
             except ValueError:  # memory-store/1 and /2 are one JSON object, on any lines
-                manifest, records = json.loads(data), []
+                manifest, records, whole = json.loads(data), [], None
             manifest = _expect(manifest, dict, "the manifest")
             fmt = manifest.get("format")
             if fmt not in (STORE_FORMAT, _FORMAT_2, _FORMAT_1):
@@ -747,7 +746,7 @@ class MemoryStore:
                 # _of_record and the user ids read every key to_payload writes,
                 # so a record of as many keys holds no other
                 kept.append(profile if len(record) == _RECORD_SIZE else None)
-            if fmt == STORE_FORMAT:
+            if fmt == STORE_FORMAT and whole is not None:
                 store._unsplit = (text, kept)
             for f, r, t in _expect(manifest["edges"], list, "edges"):
                 for endpoint in (f, t):
@@ -776,6 +775,21 @@ class MemoryStore:
 
 
 _RECORD_SIZE = len(UserProfile("").to_payload())
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _line_values(text: str) -> list[Any] | None:
+    """The value of each line of text, or None unless each holds one whole."""
+    values, pos = [], 0
+    try:
+        while True:
+            value, pos = _DECODE(text, pos)
+            values.append(value)
+            if text[pos:pos + 1] != "\n":
+                return values if pos == len(text) else None
+            pos += 1
+    except ValueError:
+        return None
 
 
 def _json_lines(data: bytes) -> list[Any]:

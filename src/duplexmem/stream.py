@@ -10,6 +10,9 @@ Text tokens are byte-level: id 0 is the pad, id b+1 encodes byte b. Audio
 tokens are opaque synthetic ids: 0 is silence, 1 is the assistant voice, and
 ids >= 2 mark which user produced an utterance, which is what the session
 tagger and the verification mocks key on.
+
+TurnScript and DialogScript are plain records: their JSON form, in scenario
+files, is dataclasses.asdict, read back by harness.from_payload.
 """
 
 from __future__ import annotations
@@ -210,8 +213,6 @@ class DialogScript:
         speakers = {t.speaker_user for t in self.turns}
         if len(speakers) != 1:
             raise StreamBuildError(f"dialog {self.dialog_id!r} mixes speakers {sorted(speakers)}")
-        if not isinstance(self.turns, tuple):
-            object.__setattr__(self, "turns", tuple(self.turns))
 
     @property
     def speaker_user(self) -> str:
@@ -567,64 +568,3 @@ def _decode_varints(body: np.ndarray, ends: np.ndarray) -> np.ndarray:
             f"token id {first} of {ends.size} is above the largest id {MAX_TOKEN_ID}"
         )
     return values.astype(np.int32)
-
-
-def _groups_to_json(groups: QueryGroups | None) -> dict[str, list[str]] | None:
-    if groups is None:
-        return None
-    return {"relations": list(groups.relations), "keywords": list(groups.keywords)}
-
-
-def _groups_from_json(payload: Mapping[str, Any] | None) -> QueryGroups | None:
-    if payload is None:
-        return None
-    return QueryGroups(tuple(payload.get("relations", ())), tuple(payload.get("keywords", ())))
-
-
-def dialog_to_record(dialog: DialogScript) -> dict[str, Any]:
-    """JSON-ready dict for one dialog script, spans included when placed."""
-    return {
-        "dialog_id": dialog.dialog_id,
-        "session_span": list(dialog.session_span) if dialog.session_span else None,
-        "annotation": dict(dialog.annotation) if dialog.annotation is not None else None,
-        "turns": [
-            {
-                "speaker_user": t.speaker_user,
-                "instruction_text": t.instruction_text,
-                "response_text": t.response_text,
-                "instruction_steps": t.instruction_steps,
-                "response_steps": t.response_steps,
-                "query_groups": _groups_to_json(t.query_groups),
-                "interrupting": t.interrupting,
-                "echo": t.echo,
-                "instruction_span": list(t.instruction_span) if t.instruction_span else None,
-                "response_span": list(t.response_span) if t.response_span else None,
-            }
-            for t in dialog.turns
-        ],
-    }
-
-
-def dialog_from_record(record: Mapping[str, Any]) -> DialogScript:
-    turns = tuple(
-        TurnScript(
-            speaker_user=t["speaker_user"],
-            instruction_text=t["instruction_text"],
-            response_text=t["response_text"],
-            instruction_steps=t["instruction_steps"],
-            response_steps=t["response_steps"],
-            query_groups=_groups_from_json(t.get("query_groups")),
-            interrupting=t.get("interrupting", False),
-            echo=t.get("echo", False),
-            instruction_span=tuple(t["instruction_span"]) if t.get("instruction_span") else None,
-            response_span=tuple(t["response_span"]) if t.get("response_span") else None,
-        )
-        for t in record["turns"]
-    )
-    return DialogScript(
-        dialog_id=record["dialog_id"],
-        turns=turns,
-        annotation=record.get("annotation"),
-        session_span=tuple(record["session_span"]) if record.get("session_span") else None,
-    )
-

@@ -3,6 +3,7 @@ behavior, and the HTTP transport against a live local server."""
 
 import json
 import threading
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -35,6 +36,7 @@ from duplexmem.backends import (
     validate_request,
     validate_response,
 )
+from duplexmem.harness import from_payload
 from duplexmem.pipeline import _resolve_edges
 from duplexmem.store import ExtractedMemory, MemoryStore
 from duplexmem.verification import Embedding, compute_eer, cosine_distance
@@ -117,8 +119,8 @@ class TestIdentitySeed:
 
     def test_payload_round_trip(self):
         seed = IdentitySeed("emily", 7, noise_scale=0.2)
-        assert IdentitySeed.from_payload(seed.to_payload()) == seed
-        assert IdentitySeed.from_payload(json.loads(json.dumps(seed.to_payload()))) == seed
+        assert from_payload(IdentitySeed, asdict(seed)) == seed
+        assert from_payload(IdentitySeed, json.loads(json.dumps(asdict(seed)))) == seed
 
     def test_noisy_observations_separate_identities(self):
         """Same/cross-identity similarity distributions at noise 0.1 give a

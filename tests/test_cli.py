@@ -99,6 +99,47 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == "error: bad scenario file: KeyError: 'identities'\n"
 
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda turns: turns.clear(), "StreamBuildError: dialog"),
+            (lambda turns: turns[0].update(query_groups={"keywords": ["a,b"]}),
+             "RetrievalError: query word 'a,b'"),
+            (lambda turns: turns[0].update(instruction_steps=0), "StreamBuildError: turn"),
+            (lambda turns: [t.update(speaker_user="nobody") for t in turns],
+             "HarnessError: no identity is named 'nobody'"),
+            (lambda turns: turns[0].update(response_steps=30.0),
+             "TypeError: days: scripts: turns: response_steps: expected an int, got 30.0"),
+        ],
+        ids=["no-turns", "separator-in-query-word", "zero-steps", "unknown-speaker", "float-steps"],
+    )
+    def test_bad_dialog_records_exit_2(self, capsys, tmp_path, edit, error):
+        payload = json.loads(scenario_to_json(demo_scenario()))
+        edit(payload["days"][1]["scripts"][0]["turns"])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad scenario file: {error}")
+
+    def test_a_synthesized_file_simulates_like_its_seed(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "synth", "--seed", "0", "--days", "2", "--out", str(tmp_path))
+        assert code == 0
+        runs = {}
+        for source, args in (("a", ["--scenario", str(tmp_path / "scenario_0000.json")]),
+                             ("b", ["--seed", "0"])):
+            out_dir = tmp_path / source
+            code, out, _ = run_cli(capsys, "simulate", *args, "--format", "machine",
+                                   "--out", str(out_dir))
+            assert code == 0
+            wrote = out.splitlines()[:2]
+            assert wrote == [f"wrote {out_dir / 'events.jsonl'}", f"wrote {out_dir / 'store'}/"]
+            runs[source] = [out.split("\n", 2)[2]] + [
+                (out_dir / name).read_bytes()
+                for name in ("events.jsonl", "store/store.json", "store/keys.bin")
+            ]
+        assert runs["a"] == runs["b"]
+
     def test_http_transport_needs_addresses(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--seed", "1", "--transport", "http")
         assert code == 2

@@ -1,9 +1,12 @@
 """Scenario synthesis, the two-day walkthrough, and the evaluation tables."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duplexmem import harness
 from duplexmem.harness import (
@@ -22,6 +25,7 @@ from duplexmem.harness import (
     eval_streams,
     eval_trigger,
     eval_verification,
+    from_payload,
     run_walkthrough,
     scenario_from_json,
     scenario_store,
@@ -75,6 +79,17 @@ class TestScenarioData:
         with pytest.raises(HarnessError):
             Scenario("s", (a, clash), (), (), ())
 
+    @pytest.mark.parametrize(
+        "edges, preseed, speaker",
+        [((("a", "friend", "zed"),), ("a",), "a"), ((), ("zed",), "a"), ((), ("a",), "zed")],
+        ids=["edge", "preseed", "speaker"],
+    )
+    def test_every_named_identity_exists(self, edges, preseed, speaker):
+        a = ScenarioIdentity("a", "A", 2, IdentitySeed("a", 0))
+        day = ScenarioDay("2024-06-01", (DialogScript("d", (TurnScript(speaker, "hi", "ok", 4, 4),)),), 1)
+        with pytest.raises(HarnessError, match="no identity is named 'zed'"):
+            Scenario("s", (a,), edges, tuple(map(PreseedProfile, preseed)), (day,))
+
     def test_identity_lookup(self):
         scenario = demo_scenario()
         assert scenario.identity("emily").name == "Emily"
@@ -83,28 +98,122 @@ class TestScenarioData:
             scenario.identity("nobody")
 
 
+WORDS = st.text("abcdefgh", min_size=1, max_size=5)
+SPANS = st.none() | st.tuples(st.integers(0, 8191), st.integers(0, 8191))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def query_groups():
+    return st.builds(QueryGroups, st.lists(WORDS, max_size=2).map(tuple),
+                     st.lists(WORDS, max_size=2).map(tuple))
+
+
+def turns(speaker):
+    return st.builds(TurnScript, st.just(speaker), st.text(max_size=8), st.text(max_size=8),
+                     st.integers(1, 400), st.integers(1, 400), st.none() | query_groups(),
+                     st.booleans(), st.booleans(), SPANS, SPANS)
+
+
+def dialogs(speaker):
+    return st.builds(DialogScript, WORDS, st.lists(turns(speaker), min_size=1, max_size=3).map(tuple),
+                     st.none() | st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3), SPANS)
+
+
+def identity_seeds(identity_id):
+    return st.builds(IdentitySeed, st.just(identity_id), st.integers(-2**70, 2**70),
+                     st.floats(0.0, 1.0, exclude_max=True))
+
+
+@st.composite
+def scenarios(draw):
+    ids = draw(st.lists(WORDS, min_size=1, max_size=3, unique=True))
+    identities = tuple(ScenarioIdentity(i, i.upper(), 2 + k, draw(identity_seeds(i)))
+                       for k, i in enumerate(ids))
+    pick = st.sampled_from(ids)
+    pairs = st.tuples(st.text(max_size=6), st.text(max_size=6))
+    preseed = tuple(PreseedProfile(i, tuple(draw(st.lists(pairs, max_size=2))),
+                                   tuple(draw(st.lists(pairs, max_size=2))),
+                                   draw(st.dictionaries(WORDS, st.text(max_size=4), max_size=2)))
+                    for i in draw(st.lists(pick, max_size=3)))
+    edges = tuple(draw(st.lists(st.tuples(pick, WORDS, pick), max_size=3)))
+    days = tuple(ScenarioDay(draw(WORDS), tuple(draw(st.lists(pick.flatmap(dialogs), max_size=2))),
+                             draw(st.integers(0, 2**40)))
+                 for _ in range(draw(st.integers(0, 2))))
+    return Scenario(draw(WORDS), identities, edges, preseed, days, draw(st.integers(0, 300)),
+                    draw(st.integers(0, 2**40)))
+
+
 class TestScenarioRoundTrip:
     def test_json_round_trip_is_lossless(self):
         scenario = synth_scenario(ScenarioSpec(seed=5))
         text = scenario_to_json(scenario)
         clone = scenario_from_json(text)
-        assert clone.to_payload() == scenario.to_payload()
+        assert asdict(clone) == asdict(scenario)
         assert scenario_to_json(clone) == text
 
     def test_demo_round_trip(self):
         scenario = demo_scenario()
         clone = scenario_from_json(scenario_to_json(scenario))
-        assert clone.to_payload() == scenario.to_payload()
+        assert asdict(clone) == asdict(scenario)
+
+    def test_round_trip_of_values_synthesis_never_writes(self):
+        turn = TurnScript("ana", "hi", "ok", 4, 5, QueryGroups(), True, True, (800, 804), (806, 811))
+        dialog = DialogScript("d", (turn,), annotation=None, session_span=(800, 811))
+        assert from_payload(DialogScript, json.loads(json.dumps(asdict(dialog)))) == dialog
+        seed = from_payload(IdentitySeed, json.loads('{"identity_id": "a", "vector_seed": 5, '
+                                                     '"noise_scale": 0}'))
+        assert seed == IdentitySeed("a", 5, 0.0) and type(seed.noise_scale) is float
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_json_round_trip_of_any_record(self, data):
+        for cls, record in ((Scenario, data.draw(scenarios())),
+                            (DialogScript, data.draw(dialogs("ana"))),
+                            (TurnScript, data.draw(turns("ana"))),
+                            (QueryGroups, data.draw(query_groups())),
+                            (IdentitySeed, data.draw(identity_seeds("ana")))):
+            assert from_payload(cls, json.loads(json.dumps(asdict(record)))) == record
+
+    def test_missing_keys_take_defaults_and_unknown_keys_are_ignored(self):
+        record = {"speaker_user": "ana", "instruction_text": "hi", "response_text": "ok",
+                  "instruction_steps": 4, "response_steps": 5, "mood": "sunny"}
+        assert from_payload(TurnScript, record) == TurnScript("ana", "hi", "ok", 4, 5)
+        del record["response_steps"]
+        with pytest.raises(KeyError, match="response_steps"):
+            from_payload(TurnScript, record)
+
+    @pytest.mark.parametrize(
+        "cls, payload, message",
+        [
+            (IdentitySeed, {"identity_id": "a", "vector_seed": 5.0}, "vector_seed: expected an int"),
+            (IdentitySeed, {"identity_id": "a", "vector_seed": True}, "vector_seed: expected an int"),
+            (IdentitySeed, {"identity_id": None, "vector_seed": 5}, "identity_id: expected a value"),
+            (IdentitySeed, ["a", 5], "expected an object, got \\['a', 5\\]"),
+            (DialogScript, {"dialog_id": "d", "turns": "abc"}, "turns: expected an array"),
+            (DialogScript, {"dialog_id": "d", "turns": [None]}, "turns: expected an object, got None"),
+            (DialogScript, {"dialog_id": "d", "turns": [], "session_span": [1]},
+             "session_span: expected an array of 2, got \\[1\\]"),
+        ],
+        ids=["float-int", "bool-int", "null", "array-record", "string-tuple", "null-record",
+             "short-span"],
+    )
+    def test_mistyped_values_raise_type_error(self, cls, payload, message):
+        with pytest.raises(TypeError, match=message):
+            from_payload(cls, payload)
 
     def test_synthesis_is_deterministic(self):
         first = synth_scenario(ScenarioSpec(seed=9))
         second = synth_scenario(ScenarioSpec(seed=9))
-        assert first.to_payload() == second.to_payload()
+        assert asdict(first) == asdict(second)
 
     def test_seeds_change_the_output(self):
         assert (
-            synth_scenario(ScenarioSpec(seed=1)).to_payload()
-            != synth_scenario(ScenarioSpec(seed=2)).to_payload()
+            asdict(synth_scenario(ScenarioSpec(seed=1)))
+            != asdict(synth_scenario(ScenarioSpec(seed=2)))
         )
 
     def test_synthesized_shape_follows_the_dials(self):

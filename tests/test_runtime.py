@@ -1,6 +1,8 @@
 """Live-loop behavior: polling cadence, window refreshes, query handling,
 and chunked management scheduling."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -474,7 +476,7 @@ class TestRunAgent:
         first = self.run([emily_dialog(turns=2, groups=GROUPS)], trailing_silence=120)
         second = self.run([emily_dialog(turns=2, groups=GROUPS)], trailing_silence=120)
         assert first[1].to_jsonl() == second[1].to_jsonl()
-        assert first[1].counters.to_payload() == second[1].counters.to_payload()
+        assert asdict(first[1].counters) == asdict(second[1].counters)
 
     def test_flaky_backends_never_stall_the_loop(self):
         built, stream, rows = build_fixture([emily_dialog()], trailing_silence=100)

@@ -949,6 +949,26 @@ class TestPersistence:
         assert encoded == ["user_0001", "user_0002"]
         assert MemoryStore.load(target) == loaded
 
+    def test_a_record_that_runs_on_into_the_next_line_keeps_no_line(self, tmp_path, monkeypatch):
+        """The line count matches the record count, but user 1's record ends
+        on user 2's line: no line is written again as it is, so the next
+        persist commits a store.json that loads."""
+        store = self.populated()
+        store.create_user(face(2), voice(2), ExtractedMemory(user_name="Ann"))
+        target = str(tmp_path / "store")
+        store.persist(target)
+        with open(os.path.join(target, "store.json"), "rb") as fh:
+            head, first, second, third = fh.read().splitlines()
+        with open(os.path.join(target, "store.json"), "wb") as fh:
+            fh.write(b"\n".join([head, first[:-1] + b', "zz": [0', b'{"a": 1}]}, ' + second,
+                                 third, b""]))
+        loaded = MemoryStore.load(target)
+        assert loaded == store
+        encoded = spy_on_payloads(monkeypatch)
+        loaded.persist(target)
+        assert encoded == ["user_0001", "user_0002", "user_0003"]
+        assert MemoryStore.load(target) == loaded
+
     def test_warm_persist_encodes_and_hashes_only_what_changed(self, tmp_path, monkeypatch):
         target = str(tmp_path / "store")
         self.populated().persist(target)

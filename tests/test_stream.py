@@ -2,12 +2,14 @@
 
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duplexmem.harness import from_payload
 from duplexmem.retrieval import QueryGroups, format_query_protocol
 from duplexmem.stream import (
     ASSISTANT_VOICE,
@@ -31,8 +33,6 @@ from duplexmem.stream import (
     TurnScript,
     assign_speaker_markers,
     build_stream,
-    dialog_from_record,
-    dialog_to_record,
     encode_text,
     make_supervision_masks,
     parse_stream,
@@ -767,7 +767,7 @@ class TestDialogRecords:
     def test_round_trip_placed(self):
         result = two_dialog_build(groups=GROUPS)
         for dialog in result.scripts:
-            assert dialog_from_record(dialog_to_record(dialog)) == dialog
+            assert from_payload(DialogScript, asdict(dialog)) == dialog
 
     def test_round_trip_unplaced_with_annotation(self):
         dialog = DialogScript(
@@ -775,14 +775,14 @@ class TestDialogRecords:
             (make_turn("alice", groups=GROUPS),),
             annotation={"user_facts": ["likes tea"]},
         )
-        assert dialog_from_record(dialog_to_record(dialog)) == dialog
+        assert from_payload(DialogScript, asdict(dialog)) == dialog
 
     def test_records_are_json_ready(self):
         result = two_dialog_build(groups=GROUPS)
-        lines = [json.dumps(dialog_to_record(dialog), sort_keys=True) for dialog in result.scripts]
+        lines = [json.dumps(asdict(dialog), sort_keys=True) for dialog in result.scripts]
         parsed = [json.loads(line) for line in lines]
         assert [p["dialog_id"] for p in parsed] == ["d0", "d1"]
-        rebuilt = [dialog_from_record(p) for p in parsed]
+        rebuilt = [from_payload(DialogScript, p) for p in parsed]
         assert tuple(rebuilt) == result.scripts
 
     def test_mixed_speakers_rejected(self):
